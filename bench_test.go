@@ -64,6 +64,12 @@ func loadFixtures() {
 	})
 }
 
+// stackMachine is an instance of q's pushdown baseline under enc.
+func stackMachine(q *Query, enc Encoding) core.Evaluator {
+	ev, _, _ := q.machine(semQL, enc, Options{ForceStack: true})
+	return ev
+}
+
 func benchEvaluator(b *testing.B, ev core.Evaluator, events []encoding.Event) {
 	b.Helper()
 	b.ResetTimer()
@@ -89,7 +95,7 @@ func BenchmarkTable212(b *testing.B) {
 	loadFixtures()
 	for _, row := range paperfigs.Example212() {
 		q := MustCompileRegex(row.Regex, abc)
-		ev, st, err := q.queryEvaluator(MarkupEncoding, true)
+		ev, st, err := q.machine(semQL, MarkupEncoding, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +103,7 @@ func BenchmarkTable212(b *testing.B) {
 			benchEvaluator(b, ev, fixtures.abcDoc)
 		})
 		b.Run(fmt.Sprintf("%s/stack", row.XPath[1:]), func(b *testing.B) {
-			benchEvaluator(b, q.stackQuery(), fixtures.abcDoc)
+			benchEvaluator(b, stackMachine(q, MarkupEncoding), fixtures.abcDoc)
 		})
 	}
 }
@@ -139,16 +145,16 @@ func BenchmarkFig2(b *testing.B) {
 	term := encoding.Term(tr)
 	q := MustCompileRegex(paperfigs.Fig2Regex, []string{"a", "b"})
 
-	ev, st, err := q.queryEvaluator(MarkupEncoding, false)
+	ev, st, err := q.machine(semQL, MarkupEncoding, Options{ForbidStack: true})
 	if err != nil || st != Registerless {
 		b.Fatalf("Fig2 must be registerless under markup (err=%v st=%v)", err, st)
 	}
 	b.Run("markup/registerless", func(b *testing.B) { benchEvaluator(b, ev, markup) })
-	b.Run("markup/stack", func(b *testing.B) { benchEvaluator(b, q.stackQuery(), markup) })
-	if _, _, err := q.queryEvaluator(TermEncoding, false); err == nil {
+	b.Run("markup/stack", func(b *testing.B) { benchEvaluator(b, stackMachine(q, MarkupEncoding), markup) })
+	if _, _, err := q.machine(semQL, TermEncoding, Options{ForbidStack: true}); err == nil {
 		b.Fatal("Fig2 must NOT be stackless under the term encoding")
 	}
-	b.Run("term/stack-only", func(b *testing.B) { benchEvaluator(b, q.stackQuery(), term) })
+	b.Run("term/stack-only", func(b *testing.B) { benchEvaluator(b, stackMachine(q, TermEncoding), term) })
 }
 
 // --- F3: Figure 3 (same languages as T1, deep-document variant) ---
@@ -158,7 +164,7 @@ func BenchmarkFig3DeepDocs(b *testing.B) {
 	events := fixtures.deepDocs[1024]
 	for _, row := range paperfigs.Example212() {
 		q := MustCompileRegex(row.Regex, abc)
-		ev, st, err := q.queryEvaluator(MarkupEncoding, true)
+		ev, st, err := q.machine(semQL, MarkupEncoding, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +260,7 @@ func BenchmarkDepthSweepStackless(b *testing.B) {
 	loadFixtures()
 	q := MustCompileRegex(paperfigs.Fig3cRegex, abc) // HAR: stackless exists
 	for _, depth := range []int{4, 64, 1024, 4096} {
-		ev, st, err := q.queryEvaluator(MarkupEncoding, false)
+		ev, st, err := q.machine(semQL, MarkupEncoding, Options{ForbidStack: true})
 		if err != nil || st != Stackless {
 			b.Fatal("expected a stackless evaluator")
 		}
@@ -485,12 +491,12 @@ func BenchmarkTermEncoding(b *testing.B) {
 	tr := gen.RandomTree(rng, []string{"a", "b", "c"}, 100_000)
 	events := encoding.Term(tr)
 	q := MustCompileRegex(paperfigs.Fig3aRegex, abc) // blindly almost-reversible
-	ev, st, err := q.queryEvaluator(TermEncoding, false)
+	ev, st, err := q.machine(semQL, TermEncoding, Options{ForbidStack: true})
 	if err != nil || st != Registerless {
 		b.Fatalf("aΓ*b should be term-registerless (err=%v)", err)
 	}
 	b.Run("blind-registerless", func(b *testing.B) { benchEvaluator(b, ev, events) })
-	b.Run("stack", func(b *testing.B) { benchEvaluator(b, q.stackQuery(), events) })
+	b.Run("stack", func(b *testing.B) { benchEvaluator(b, stackMachine(q, TermEncoding), events) })
 }
 
 // --- Multi-query single pass: parsing cost amortized across queries (the
@@ -615,7 +621,7 @@ func BenchmarkMultiQueryProduct(b *testing.B) {
 
 func benchSelectWorkers(b *testing.B, q *Query, events []encoding.Event, workers int) {
 	b.Helper()
-	ev, _, err := q.queryEvaluator(MarkupEncoding, true)
+	ev, _, err := q.machine(semQL, MarkupEncoding, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -710,7 +716,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	loadFixtures()
 	q := MustCompileRegex(paperfigs.Fig3cRegex, abc)
 	events := fixtures.abcDoc
-	ev, _, err := q.queryEvaluator(MarkupEncoding, true)
+	ev, _, err := q.machine(semQL, MarkupEncoding, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -794,7 +800,7 @@ func benchSelectPipelines(b *testing.B, ev core.Evaluator, events []encoding.Eve
 func codedBenchEvaluator(b *testing.B, regex string) core.Evaluator {
 	b.Helper()
 	q := MustCompileRegex(regex, abc)
-	ev, _, err := q.queryEvaluator(MarkupEncoding, false)
+	ev, _, err := q.machine(semQL, MarkupEncoding, Options{ForbidStack: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1016,7 +1022,7 @@ func benchStackPipelines(b *testing.B, q *Query, events []encoding.Event) {
 
 	// The fall-from path: the same query through the stackless coded
 	// pipeline — the denominator of the ≤2× contract.
-	sl, st, err := q.queryEvaluator(MarkupEncoding, false)
+	sl, st, err := q.machine(semQL, MarkupEncoding, Options{ForbidStack: true})
 	if err != nil || st != Stackless {
 		b.Fatalf("expected a stackless evaluator (err=%v st=%v)", err, st)
 	}

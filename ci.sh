@@ -51,7 +51,7 @@ echo '== go test -race (internal) =='
 go test -race ./internal/...
 
 echo '== go test -race (observability contract) =='
-go test -race -run 'Obs|Earliest' .
+go test -race -run 'Obs|Earliest|Concurrent' .
 
 echo '== fuzz smoke =='
 make fuzz-smoke

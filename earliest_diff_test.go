@@ -150,7 +150,7 @@ func TestEarliestEmissionPosition(t *testing.T) {
 func TestEarliestAdversarialCuts(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for name, q := range earliestQueries(t) {
-		ev, _, err := q.queryEvaluator(MarkupEncoding, true)
+		ev, _, err := q.machine(semQL, MarkupEncoding, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

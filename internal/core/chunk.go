@@ -391,6 +391,7 @@ func (ev *StacklessEvaluator) Fork() Chunkable {
 		cBack:    ev.cBack,
 		cBackAny: ev.cBackAny,
 		cComp:    ev.cComp,
+		cDec:     ev.cDec,
 		res:      alphabet.NewResolver(ev.an.D.Alphabet),
 		obs:      ev.obs,
 	}

@@ -169,12 +169,14 @@ func selectCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source, fn
 // RecognizeCoded is Recognize through the compiled pipeline when ev
 // supports it, falling back to Recognize otherwise.
 func RecognizeCoded(ev Evaluator, src encoding.Source) (bool, error) {
-	return RecognizeCodedObs(ev, nil, src)
+	ok, _, err := RecognizeCodedObs(ev, nil, src)
+	return ok, err
 }
 
 // RecognizeCodedObs is RecognizeCoded reporting into a collector (nil:
-// plain kernel, as in RecognizeObs).
-func RecognizeCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, error) {
+// plain kernel, as in RecognizeObs), also returning the number of events
+// processed.
+func RecognizeCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, int, error) {
 	be, ok := ev.(BatchEvaluator)
 	if !ok {
 		return RecognizeObs(ev, c, src)
@@ -185,28 +187,31 @@ func RecognizeCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source) (boo
 	return recognizeCodedObs(be, c, src)
 }
 
-// recognizeCodedPlain is the uninstrumented coded Recognize kernel.
+// recognizeCodedPlain is the uninstrumented coded Recognize kernel. The
+// event count is a sum of batch lengths: no per-event work.
 //
 //treelint:plain
-func recognizeCodedPlain(be BatchEvaluator, src encoding.Source) (bool, error) {
+func recognizeCodedPlain(be BatchEvaluator, src encoding.Source) (bool, int, error) {
 	be.Reset()
 	//treelint:partial run prologue: one batcher+coder per run, O(1) and outside the per-event loop
 	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
+	events := 0
 	for {
 		batch, _, err := b.NextBatch()
+		events += len(batch)
 		be.StepBatch(batch)
 		if err == io.EOF {
-			return be.Accepting(), nil
+			return be.Accepting(), events, nil
 		}
 		if err != nil {
-			return false, err
+			return false, events, err
 		}
 	}
 }
 
 // recognizeCodedObs is the instrumented twin: the batch is stepped as a
 // whole, then walked for the depth histogram.
-func recognizeCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source) (bool, error) {
+func recognizeCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source) (bool, int, error) {
 	be.Reset()
 	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
 	events := 0
@@ -225,11 +230,11 @@ func recognizeCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source)
 		}
 		if err == io.EOF {
 			flushRun(c, be, int64(events), 0)
-			return be.Accepting(), nil
+			return be.Accepting(), events, nil
 		}
 		if err != nil {
 			flushRun(c, be, int64(events), 0)
-			return false, err
+			return false, events, err
 		}
 	}
 }

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 
 	"stackless/internal/encoding"
@@ -62,6 +63,28 @@ func Instrument(ev Evaluator, c *obs.Collector) {
 	if i, ok := ev.(Instrumented); ok {
 		i.SetObs(c)
 	}
+}
+
+// Instance returns an independent runtime instance of a compiled machine,
+// in its initial configuration and sharing ev's immutable tables, so one
+// compiled machine can serve many concurrent runs. Chunkable machines
+// fork. The synopsis machines (registerless EL, and AL through the
+// negation of Lᶜ's) start an empty memo over the same analysis: their
+// memo rows intern as a run discovers them, so a memo is never shared
+// between runs. ev itself is never stepped by the instance, and nothing
+// attached to an instance (a collector, a resolver cache, a stack pool)
+// reaches ev. Instance panics on any other family — a caller bug, since
+// only these families are cached.
+func Instance(ev Evaluator) Evaluator {
+	switch m := ev.(type) {
+	case Chunkable:
+		return m.Fork()
+	case *SynopsisMachine:
+		return synopsisOver(m.an, m.blind)
+	case *negated:
+		return &negated{inner: synopsisOver(m.inner.an, m.inner.blind)}
+	}
+	panic(fmt.Sprintf("core: no runtime instance for %T", ev))
 }
 
 // obsFlusher is implemented by machines that batch metrics in plain
@@ -198,12 +221,14 @@ func SelectPositions(ev Evaluator, src encoding.Source) ([]int, error) {
 
 // Recognize streams src through ev and returns the final acceptance value.
 func Recognize(ev Evaluator, src encoding.Source) (bool, error) {
-	return RecognizeObs(ev, nil, src)
+	ok, _, err := RecognizeObs(ev, nil, src)
+	return ok, err
 }
 
 // RecognizeObs is Recognize reporting events and the depth histogram into a
-// collector. A nil collector runs the plain kernel (see SelectObs).
-func RecognizeObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, error) {
+// collector; it also returns the number of events processed, as SelectObs
+// does. A nil collector runs the plain kernel (see SelectObs).
+func RecognizeObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, int, error) {
 	if c == nil {
 		return recognizePlain(ev, src)
 	}
@@ -214,11 +239,11 @@ func RecognizeObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, er
 		e, err := src.Next()
 		if err == io.EOF {
 			flushRun(c, ev, int64(events), 0)
-			return ev.Accepting(), nil
+			return ev.Accepting(), events, nil
 		}
 		if err != nil {
 			flushRun(c, ev, int64(events), 0)
-			return false, err
+			return false, events, err
 		}
 		events++
 		if e.Kind == encoding.Open {
@@ -235,16 +260,18 @@ func RecognizeObs(ev Evaluator, c *obs.Collector, src encoding.Source) (bool, er
 // for why it exists.
 //
 //treelint:plain
-func recognizePlain(ev Evaluator, src encoding.Source) (bool, error) {
+func recognizePlain(ev Evaluator, src encoding.Source) (bool, int, error) {
 	ev.Reset()
+	events := 0
 	for {
 		e, err := src.Next()
 		if err == io.EOF {
-			return ev.Accepting(), nil
+			return ev.Accepting(), events, nil
 		}
 		if err != nil {
-			return false, err
+			return false, events, err
 		}
+		events++
 		ev.Step(e)
 	}
 }

@@ -135,9 +135,17 @@ func BlindRegisterlessEL(an *classify.Analysis) (*SynopsisMachine, error) {
 }
 
 func newSynopsis(an *classify.Analysis, blind bool) *SynopsisMachine {
+	m := synopsisOver(an, blind)
+	compileHook(m)
+	return m
+}
+
+// synopsisOver returns a machine over an with an empty memo, without the
+// class check or the compile hook: the runtime-instance path (see
+// Instance) for an analysis a checked constructor already accepted.
+func synopsisOver(an *classify.Analysis, blind bool) *SynopsisMachine {
 	m := &SynopsisMachine{an: an, blind: blind, index: map[string]int{}, res: alphabet.NewResolver(an.D.Alphabet)}
 	m.Reset()
-	compileHook(m)
 	return m
 }
 

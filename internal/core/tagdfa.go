@@ -25,6 +25,9 @@ type TagDFA struct {
 	// encoding); nil for markup-encoding automata.
 	CloseAny []int
 
+	// id is the automaton's process-unique identity (see ID).
+	id uint64
+
 	// Compiled form (DESIGN.md §11), built lazily on first batched use and
 	// cached — the automaton must not be mutated after its first evaluator
 	// runs a coded batch. ctab is a flat (n+1)×2(k+1) table: row q, column
@@ -139,9 +142,18 @@ func (t *TagDFA) compiled() (tab []int32, acc []bool, stride, dead int32) {
 // NumStates returns the number of states.
 func (t *TagDFA) NumStates() int { return len(t.OpenT) }
 
+// lastTagDFAID is the last identity handed out by the constructors.
+var lastTagDFAID atomic.Uint64
+
+// ID returns the automaton's identity: unique in the process, fixed at
+// construction, and never reused. Constructing the same automaton twice
+// yields two ids; internal/product keys its product cache on member ids.
+func (t *TagDFA) ID() uint64 { return t.id }
+
 // NewTagDFA allocates a markup-encoding tag automaton with n states.
 func NewTagDFA(alph *alphabet.Alphabet, n, start int) *TagDFA {
 	t := &TagDFA{
+		id:       lastTagDFAID.Add(1),
 		Alphabet: alph,
 		Start:    start,
 		Accept:   make([]bool, n),
@@ -158,6 +170,7 @@ func NewTagDFA(alph *alphabet.Alphabet, n, start int) *TagDFA {
 // NewTermTagDFA allocates a term-encoding tag automaton with n states.
 func NewTermTagDFA(alph *alphabet.Alphabet, n, start int) *TagDFA {
 	t := &TagDFA{
+		id:       lastTagDFAID.Add(1),
 		Alphabet: alph,
 		Start:    start,
 		Accept:   make([]bool, n),

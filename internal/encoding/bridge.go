@@ -3,6 +3,7 @@ package encoding
 import (
 	"encoding/json"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -91,7 +92,7 @@ func (s *JSONSource) advance() error {
 		return nil
 	}
 	if err != nil {
-		return err
+		return s.malformed(err)
 	}
 	if !s.opened {
 		s.opened = true
@@ -120,6 +121,18 @@ func (s *JSONSource) advance() error {
 	}
 	// Non-delimiter token: either an object key or a scalar value.
 	return s.handleValueOrKey(tok)
+}
+
+// malformed types a tokenizer error: syntax errors and input ending inside
+// a token (io.ErrUnexpectedEOF) wrap ErrMalformed with the decoder's byte
+// offset, keeping the cause matchable. Errors of the underlying reader
+// pass through unchanged.
+func (s *JSONSource) malformed(err error) error {
+	var syn *json.SyntaxError
+	if errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &syn) {
+		return fmt.Errorf("%w at byte %d: %w", ErrMalformed, s.dec.InputOffset(), err)
+	}
+	return err
 }
 
 func (s *JSONSource) handleValueOrKey(tok json.Token) error {

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -186,6 +187,29 @@ func TestJSONSourceErrors(t *testing.T) {
 		if _, err := Decode(NewJSONSource(strings.NewReader(doc))); err == nil {
 			t.Errorf("expected error for truncated JSON %q", doc)
 		}
+	}
+}
+
+// TestJSONSourceTruncationTyped cuts an order-shaped document at every byte:
+// each strict prefix must fail with ErrMalformed, including cuts inside a
+// string, where the tokenizer's own error is io.ErrUnexpectedEOF.
+func TestJSONSourceTruncationTyped(t *testing.T) {
+	doc := `{"id":1042,"customer":{"name":"Ada L","tier":"gold"},"items":[{"sku":"A-17","qty":2},{"sku":"B-3","qty":1}],"paid":true}`
+	if _, err := ReadAll(CheckBalance(NewJSONSource(strings.NewReader(doc)))); err != nil {
+		t.Fatalf("whole document: %v", err)
+	}
+	insideToken := 0
+	for n := 0; n < len(doc); n++ {
+		_, err := ReadAll(CheckBalance(NewJSONSource(strings.NewReader(doc[:n]))))
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("prefix %d %q: error %v, want ErrMalformed", n, doc[:n], err)
+		}
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			insideToken++
+		}
+	}
+	if insideToken == 0 {
+		t.Error("no prefix ended inside a token; the test no longer covers the tokenizer's errors")
 	}
 }
 

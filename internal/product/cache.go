@@ -23,28 +23,6 @@ import (
 // pools rarely has more than a handful of live sets.
 const DefaultCacheSize = 64
 
-// Machine identity for cache keys: a process-unique id per TagDFA pointer.
-// Pointers themselves cannot be cache keys (not ordered, not stable in a
-// string), so the first time a machine is seen it is assigned a monotonic
-// id. Compiling the same query twice yields two machines and two ids — the
-// cache deduplicates repeated *sets*, not structurally equal automata.
-var (
-	idMu   sync.Mutex
-	idOf   = map[*core.TagDFA]uint64{}
-	nextID uint64
-)
-
-func machineID(m *core.TagDFA) uint64 {
-	idMu.Lock()
-	defer idMu.Unlock()
-	if id, ok := idOf[m]; ok {
-		return id
-	}
-	nextID++
-	idOf[m] = nextID
-	return nextID
-}
-
 // entry is one cached compilation result. Failures (ErrProductTooLarge) are
 // cached too: discovering that a set blows the state cap costs a bounded
 // BFS, and re-discovering it per run would charge that to every query.
@@ -55,9 +33,12 @@ type entry struct {
 }
 
 // Cache is an LRU of compiled products keyed by the canonical query-set key
-// (sorted member ids + each member's alphabet generation, see Get). Safe
-// for concurrent use; compilation runs under the lock, so concurrent
-// requests for the same set compile once.
+// (sorted member ids + each member's alphabet generation, see Get). Member
+// ids are core.TagDFA.ID: the cache deduplicates repeated *sets* of
+// machines, not structurally equal automata, and an evicted set leaves
+// nothing behind that keeps its machines alive. Safe for concurrent use;
+// compilation runs under the lock, so concurrent requests for the same set
+// compile once.
 type Cache struct {
 	mu  sync.Mutex
 	cap int
@@ -107,10 +88,10 @@ func (c *Cache) Get(members []*core.TagDFA, maxStates int, col *obs.Collector) (
 	ids := make([]uint64, len(members))
 	for i, m := range members {
 		order[i] = i
-		ids[i] = machineID(m)
+		ids[i] = m.ID()
 	}
 	// Insertion sort by id: member sets are small and mostly pre-sorted
-	// (queries compile in order, ids are assigned in first-seen order).
+	// (queries compile in order, and ids follow construction order).
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && ids[order[j]] < ids[order[j-1]]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]

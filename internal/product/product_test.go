@@ -4,7 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"stackless/internal/alphabet"
 	"stackless/internal/classify"
@@ -135,6 +138,35 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	}
 	if col.ProductCacheMisses.Load() != 2 {
 		t.Errorf("misses = %d, want 2 (generation folded into the key)", col.ProductCacheMisses.Load())
+	}
+}
+
+// TestEvictedMachinesAreCollected: nothing the cache keeps pins the members
+// of an evicted set. A set planned through a one-entry cache and then
+// evicted by another set must become garbage.
+func TestEvictedMachinesAreCollected(t *testing.T) {
+	abc := alphabet.Letters("abc")
+	ch := NewCache(1)
+	var collected atomic.Int32
+	plan := func(track bool) {
+		a, b := tagQL(t, "a.*b", abc), tagQL(t, ".*a", abc)
+		if track {
+			for _, m := range []*core.TagDFA{a, b} {
+				runtime.SetFinalizer(m, func(*core.TagDFA) { collected.Add(1) })
+			}
+		}
+		if p := BuildPlan([]core.Evaluator{a.Evaluator(), b.Evaluator()}, ch, 0, nil); len(p.Groups) != 1 {
+			t.Fatalf("plan %+v, want one product group", p)
+		}
+	}
+	plan(true)
+	plan(false) // evicts the first set
+	for i := 0; i < 50 && collected.Load() < 2; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := collected.Load(); n != 2 {
+		t.Fatalf("%d of 2 evicted machines finalized; something still references them", n)
 	}
 }
 

@@ -24,6 +24,11 @@ import (
 // MultiQuery is a set of compiled queries evaluated together. Compatible
 // registerless queries are merged into product automata (DESIGN.md §13) and
 // stepped once per event for the whole group; the rest fan out as before.
+//
+// Each member runs an instance of its Query's machine, built once on that
+// query's first use, so repeated calls on the same set find its product in
+// the shared product cache instead of recompiling it. A MultiQuery is safe
+// for concurrent use by multiple goroutines.
 type MultiQuery struct {
 	queries []*Query
 
@@ -106,21 +111,10 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 	evs := make([]core.Evaluator, len(m.queries))
 	for i, q := range m.queries {
 		var err error
-		if opt.ForceStack {
-			evs[i], stats.Strategies[i] = q.stackQuery(), Stack
-		} else {
-			evs[i], stats.Strategies[i], err = q.queryEvaluator(enc, !opt.ForbidStack)
-		}
+		evs[i], stats.Strategies[i], err = q.machine(semQL, enc, opt)
 		if err != nil {
 			return stats, fmt.Errorf("query %d (%s): %w", i, q, err)
 		}
-		if c != nil {
-			core.Instrument(evs[i], c)
-			if stats.Strategies[i] == Stack {
-				c.StackFallbacks.Inc()
-			}
-		}
-		evs[i].Reset()
 	}
 	if opt.Workers > 1 {
 		if opt.Earliest {

@@ -30,7 +30,7 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 		"stack":        MustCompileRegex(".*ab", abc),
 	}
 	for name, q := range queries {
-		ev, _, err := q.queryEvaluator(MarkupEncoding, true)
+		ev, _, err := q.machine(semQL, MarkupEncoding, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -63,18 +63,18 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 			t.Errorf("%s: SelectEarliest with nil collector allocates %.1f times per run, want 0", name, allocs)
 		}
 
-		rec, _, err := q.elEvaluator(MarkupEncoding, true)
+		rec, _, err := q.machine(semEL, MarkupEncoding, Options{})
 		if err != nil {
 			t.Fatalf("%s EL: %v", name, err)
 		}
 		core.Instrument(rec, nil)
 		src.Rewind()
-		if _, err := core.RecognizeObs(rec, nil, src); err != nil {
+		if _, _, err := core.RecognizeObs(rec, nil, src); err != nil {
 			t.Fatalf("%s EL: %v", name, err)
 		}
 		allocs = testing.AllocsPerRun(50, func() {
 			src.Rewind()
-			if _, err := core.RecognizeObs(rec, nil, src); err != nil {
+			if _, _, err := core.RecognizeObs(rec, nil, src); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -25,6 +25,7 @@ package stackless
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"stackless/internal/alphabet"
 	"stackless/internal/classify"
@@ -75,10 +76,18 @@ func (s Strategy) String() string {
 }
 
 // Query is a compiled regular path query over a fixed label alphabet.
+//
+// The machines that evaluate it depend on the query alone. Each is built
+// once per query, on the first call that needs it — one per semantics
+// (Select, RecognizeEL, RecognizeAL), encoding and ForceStack setting, at
+// the cheapest tier the compile-time classification admits — and every
+// call runs its own instance over the shared compiled tables. A Query is
+// safe for concurrent use by multiple goroutines.
 type Query struct {
 	source string
 	an     *classify.Analysis
 	report *classify.Report
+	slots  [3][2][2]slot // [semantics][Encoding][ForceStack]
 }
 
 // CompileRegex compiles a regular expression over label paths (the syntax
@@ -174,74 +183,125 @@ func (q *Query) Report() string { return q.report.String() }
 // query is registerless under both encodings.
 func (q *Query) Explain() []string { return q.an.Explanations(q.report) }
 
-// queryEvaluator picks the cheapest evaluator for node selection.
-func (q *Query) queryEvaluator(enc Encoding, allowStack bool) (core.Evaluator, Strategy, error) {
-	switch enc {
-	case MarkupEncoding:
-		if tag, err := core.RegisterlessQL(q.an); err == nil {
-			return tag.Evaluator(), Registerless, nil
-		}
-		if ev, err := core.StacklessQL(q.an); err == nil {
-			return ev, Stackless, nil
-		}
-	case TermEncoding:
-		if tag, err := core.BlindRegisterlessQL(q.an); err == nil {
-			return tag.Evaluator(), Registerless, nil
-		}
-		if ev, err := core.BlindStacklessQL(q.an); err == nil {
-			return ev, Stackless, nil
-		}
-	}
-	if !allowStack {
-		return nil, Stack, fmt.Errorf("stackless: query %q is not stackless under the %s encoding (Theorem 3.1/B.2)", q.source, enc)
-	}
-	return stackeval.QL(q.an.D), Stack, nil
+// semantics is what a call computes: node selection (QL) or recognition of
+// one of the tree languages EL and AL.
+type semantics int
+
+const (
+	semQL semantics = iota
+	semEL
+	semAL
+)
+
+// slot holds one compiled machine of a query: the cheapest tier the report
+// admits for one (semantics, encoding, ForceStack) combination. It is built
+// once, on first use, and never run: every call runs its own
+// core.Instance of it.
+type slot struct {
+	once sync.Once
+	ev   core.Evaluator
+	st   Strategy
 }
 
-// elEvaluator picks the cheapest recognizer of EL.
-func (q *Query) elEvaluator(enc Encoding, allowStack bool) (core.Evaluator, Strategy, error) {
-	switch enc {
-	case MarkupEncoding:
-		if m, err := core.RegisterlessEL(q.an); err == nil {
-			return m, Registerless, nil
-		}
-		if ev, err := core.StacklessQL(q.an); err == nil {
-			return core.ELFromQL(ev), Stackless, nil
-		}
-	case TermEncoding:
-		if m, err := core.BlindRegisterlessEL(q.an); err == nil {
-			return m, Registerless, nil
-		}
-		if ev, err := core.BlindStacklessQL(q.an); err == nil {
-			return core.ELFromQL(ev), Stackless, nil
-		}
-	}
-	if !allowStack {
-		return nil, Stack, fmt.Errorf("stackless: EL of %q needs a stack under the %s encoding", q.source, enc)
-	}
-	return stackeval.EL(q.an.D), Stack, nil
+// rung is one stackless tier of a machine ladder: the classify.Report
+// verdict that admits it and the constructor that builds it.
+type rung struct {
+	admit func(*classify.Report) bool
+	build func(*classify.Analysis) (core.Evaluator, error)
 }
 
-// alEvaluator picks the cheapest recognizer of AL.
-func (q *Query) alEvaluator(enc Encoding, allowStack bool) (core.Evaluator, Strategy, error) {
-	switch enc {
-	case MarkupEncoding:
-		if m, err := core.RegisterlessAL(q.an); err == nil {
-			return m, Registerless, nil
+// ladders[sem][enc] holds the Registerless then the Stackless rung; the
+// pushdown (stackMachines) closes every ladder and is always admitted. The
+// stackless EL and AL machines wrap the QL one, as in the proofs of
+// Theorems 3.1 and 3.2(3).
+var ladders = [3][2][2]rung{
+	semQL: {
+		{{(*classify.Report).QLRegisterless, built(core.RegisterlessQL, (*core.TagDFA).Evaluator)},
+			{(*classify.Report).QLStackless, built(core.StacklessQL, asEvaluator[*core.StacklessEvaluator])}},
+		{{(*classify.Report).TermQLRegisterless, built(core.BlindRegisterlessQL, (*core.TagDFA).Evaluator)},
+			{(*classify.Report).TermQLStackless, built(core.BlindStacklessQL, asEvaluator[*core.StacklessEvaluator])}},
+	},
+	semEL: {
+		{{(*classify.Report).ELRegisterless, built(core.RegisterlessEL, asEvaluator[*core.SynopsisMachine])},
+			{(*classify.Report).ELStackless, built(core.StacklessQL, elFromQL)}},
+		{{(*classify.Report).TermELRegisterless, built(core.BlindRegisterlessEL, asEvaluator[*core.SynopsisMachine])},
+			{(*classify.Report).TermQLStackless, built(core.BlindStacklessQL, elFromQL)}},
+	},
+	semAL: {
+		{{(*classify.Report).ALRegisterless, core.RegisterlessAL},
+			{(*classify.Report).ALStackless, built(core.StacklessQL, alFromQL)}},
+		{{(*classify.Report).TermALRegisterless, core.BlindRegisterlessAL},
+			{(*classify.Report).TermQLStackless, built(core.BlindStacklessQL, alFromQL)}},
+	},
+}
+
+// stackMachines[sem] builds the pushdown, which realizes every semantics
+// under both encodings.
+var stackMachines = [3]func(*dfa.DFA) core.Evaluator{
+	semQL: func(d *dfa.DFA) core.Evaluator { return stackeval.QL(d) },
+	semEL: stackeval.EL,
+	semAL: stackeval.AL,
+}
+
+// stackRefusals[sem] formats the ForbidStack error of a Stack-tier slot.
+var stackRefusals = [3]string{
+	semQL: "stackless: query %q is not stackless under the %s encoding (Theorem 3.1/B.2)",
+	semEL: "stackless: EL of %q needs a stack under the %s encoding",
+	semAL: "stackless: AL of %q needs a stack under the %s encoding",
+}
+
+// built adapts a typed machine constructor to a rung's, applying wrap to
+// what it builds; a failed construction stays a nil interface.
+func built[M any](mk func(*classify.Analysis) (M, error), wrap func(M) core.Evaluator) func(*classify.Analysis) (core.Evaluator, error) {
+	return func(an *classify.Analysis) (core.Evaluator, error) {
+		m, err := mk(an)
+		if err != nil {
+			return nil, err
 		}
-		if ev, err := core.StacklessQL(q.an); err == nil {
-			return core.ALFromQL(ev), Stackless, nil
-		}
-	case TermEncoding:
-		if m, err := core.BlindRegisterlessAL(q.an); err == nil {
-			return m, Registerless, nil
-		}
-		if ev, err := core.BlindStacklessQL(q.an); err == nil {
-			return core.ALFromQL(ev), Stackless, nil
+		return wrap(m), nil
+	}
+}
+
+func asEvaluator[M core.Evaluator](m M) core.Evaluator   { return m }
+func elFromQL(m *core.StacklessEvaluator) core.Evaluator { return core.ELFromQL(m) }
+func alFromQL(m *core.StacklessEvaluator) core.Evaluator { return core.ALFromQL(m) }
+
+// build climbs the ladder of sem under enc and returns the first machine
+// whose tier the report admits and whose constructor succeeds — a failed
+// constructor falls through to the next tier — or the pushdown.
+func (q *Query) build(sem semantics, enc Encoding, forceStack bool) (core.Evaluator, Strategy) {
+	if !forceStack {
+		for i, r := range ladders[sem][enc] {
+			if !r.admit(q.report) {
+				continue
+			}
+			if ev, err := r.build(q.an); err == nil {
+				return ev, Strategy(i)
+			}
 		}
 	}
-	if !allowStack {
-		return nil, Stack, fmt.Errorf("stackless: AL of %q needs a stack under the %s encoding", q.source, enc)
+	return stackMachines[sem](q.an.D), Stack
+}
+
+// machine returns a runtime instance of q's machine for sem under enc, per
+// opt's ForceStack and ForbidStack, with opt.Collector attached. The slot's
+// machine is built on the first call; later calls only take an instance.
+func (q *Query) machine(sem semantics, enc Encoding, opt Options) (core.Evaluator, Strategy, error) {
+	force := 0
+	if opt.ForceStack {
+		force = 1
 	}
-	return stackeval.AL(q.an.D), Stack, nil
+	s := &q.slots[sem][enc][force]
+	s.once.Do(func() { s.ev, s.st = q.build(sem, enc, opt.ForceStack) })
+	if s.st == Stack && opt.ForbidStack && !opt.ForceStack {
+		return nil, Stack, fmt.Errorf(stackRefusals[sem], q.source, enc)
+	}
+	ev := core.Instance(s.ev)
+	if c := opt.Collector; c != nil {
+		core.Instrument(ev, c)
+		if s.st == Stack {
+			c.StackFallbacks.Inc()
+		}
+	}
+	return ev, s.st, nil
 }

@@ -8,7 +8,6 @@ import (
 	"stackless/internal/encoding"
 	"stackless/internal/obs"
 	"stackless/internal/parallel"
-	"stackless/internal/stackeval"
 )
 
 // Collector aggregates observability metrics across evaluations: atomic
@@ -207,22 +206,9 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 	src = opt.guard(src)
 	opt.Workers = effectiveWorkers(opt.Workers)
 	c := opt.Collector
-	var ev core.Evaluator
-	var st Strategy
-	var err error
-	if opt.ForceStack {
-		ev, st, err = q.stackQuery(), Stack, nil
-	} else {
-		ev, st, err = q.queryEvaluator(enc, !opt.ForbidStack)
-	}
+	ev, st, err := q.machine(semQL, enc, opt)
 	if err != nil {
 		return Stats{Strategy: st}, err
-	}
-	if c != nil {
-		core.Instrument(ev, c)
-		if st == Stack {
-			c.StackFallbacks.Inc()
-		}
 	}
 	stats := Stats{Strategy: st, Workers: 1, Chunks: 1}
 	report := func(m core.Match) {
@@ -232,167 +218,125 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 		}
 	}
 	if cm, ok := ev.(core.Chunkable); ok && opt.Workers > 1 {
-		if parallel.Coded(cm) {
-			stats.Pipeline = PipelineCoded
-		} else {
-			stats.Pipeline = PipelineString
-		}
 		if opt.Earliest {
 			// The chunk-parallel engine buffers the stream and emits at
 			// the join; document order survives, but only the safe
 			// approximation's latency bound does.
 			stats.Earliest = EarliestApprox
 		}
-		events, err := encoding.ReadAll(src)
-		stats.Events = len(events)
+		events, err := readChunked(src, cm, opt, &stats)
 		if err != nil {
-			if c != nil {
-				c.Events.Add(int64(len(events)))
-			}
 			return stats, err
-		}
-		stats.Workers = opt.Workers
-		policy := cm.Cut()
-		stats.CutPolicy = policy.String()
-		cuts := parallel.SplitPoints(len(events), opt.Workers)
-		switch {
-		case policy == core.CutAll:
-			stats.Fallback = "cutall"
-		case len(cuts) == 0:
-			stats.Fallback = "short"
-		case policy == core.CutBoundedDepth && !parallel.SpeculationViable(events, len(cuts)+1):
-			stats.Fallback = "deep"
-		default:
-			stats.Chunks = len(cuts) + 1
-			if policy == core.CutBoundedDepth {
-				stats.Fallback = "speculative"
-			}
 		}
 		parallel.SelectObs(parallel.Shared(), cm, events, opt.Workers, c, report)
 		return stats, nil
 	}
-	if opt.Workers > 1 {
-		stats.Fallback = "strategy"
-		if c != nil {
-			c.SeqFallbacks.Inc()
-		}
-	}
+	sequentialStats(ev, opt, &stats)
 	if opt.Earliest {
 		// Earliest emission runs the per-event driver: matches emit at
 		// their deciding Open, never at a batch boundary, at the cost of
 		// the coded pipeline's throughput.
 		stats.Pipeline = PipelineString
 		stats.Earliest = core.EarliestClassOf(ev)
-		events, err := core.SelectEarliestObs(ev, c, src, report)
-		stats.Events = events
+		stats.Events, err = core.SelectEarliestObs(ev, c, src, report)
 		return stats, err
 	}
+	stats.Events, err = core.SelectCodedObs(ev, c, src, report)
+	return stats, err
+}
+
+// readChunked buffers src for a chunk-parallel run of cm and records in
+// stats how the run splits: pipeline, workers, cut policy, chunk count and
+// any sequential degradation (Stats.Fallback).
+func readChunked(src encoding.Source, cm core.Chunkable, opt Options, stats *Stats) ([]encoding.Event, error) {
+	stats.Pipeline = PipelineString
+	if parallel.Coded(cm) {
+		stats.Pipeline = PipelineCoded
+	}
+	events, err := encoding.ReadAll(src)
+	stats.Events = len(events)
+	if err != nil {
+		if c := opt.Collector; c != nil {
+			c.Events.Add(int64(len(events)))
+		}
+		return events, err
+	}
+	stats.Workers = opt.Workers
+	policy := cm.Cut()
+	stats.CutPolicy = policy.String()
+	cuts := parallel.SplitPoints(len(events), opt.Workers)
+	switch {
+	case policy == core.CutAll:
+		stats.Fallback = "cutall"
+	case len(cuts) == 0:
+		stats.Fallback = "short"
+	case policy == core.CutBoundedDepth && !parallel.SpeculationViable(events, len(cuts)+1):
+		stats.Fallback = "deep"
+	default:
+		stats.Chunks = len(cuts) + 1
+		if policy == core.CutBoundedDepth {
+			stats.Fallback = "speculative"
+		}
+	}
+	return events, nil
+}
+
+// sequentialStats records in stats a sequential run of ev: its pipeline, and
+// the "strategy" fallback when Workers > 1 asked for chunks ev cannot cut.
+func sequentialStats(ev core.Evaluator, opt Options, stats *Stats) {
+	stats.Pipeline = PipelineString
 	if core.CodedCapable(ev) {
 		stats.Pipeline = PipelineCoded
-	} else {
-		stats.Pipeline = PipelineString
 	}
-	events, err := core.SelectCodedObs(ev, c, src, report)
-	stats.Events = events
-	return stats, err
+	if opt.Workers > 1 {
+		stats.Fallback = "strategy"
+		if c := opt.Collector; c != nil {
+			c.SeqFallbacks.Inc()
+		}
+	}
 }
 
 // RecognizeEL streams an XML document and reports whether some branch's
 // label path belongs to the query language (the tree language EL).
 func (q *Query) RecognizeEL(r io.Reader, opt Options) (bool, Stats, error) {
-	return q.recognize(encoding.NewXMLScanner(r), MarkupEncoding, opt, q.elEvaluator, q.stackEL)
+	return q.recognize(encoding.NewXMLScanner(r), MarkupEncoding, semEL, opt)
 }
 
 // RecognizeAL streams an XML document and reports whether every branch's
 // label path belongs to the query language (the tree language AL) — the
 // weak-validation semantics of Section 4.1.
 func (q *Query) RecognizeAL(r io.Reader, opt Options) (bool, Stats, error) {
-	return q.recognize(encoding.NewXMLScanner(r), MarkupEncoding, opt, q.alEvaluator, q.stackAL)
+	return q.recognize(encoding.NewXMLScanner(r), MarkupEncoding, semAL, opt)
 }
 
 // RecognizeELTerm and RecognizeALTerm are the term-encoding variants over
 // brace-notation input.
 func (q *Query) RecognizeELTerm(r io.Reader, opt Options) (bool, Stats, error) {
-	return q.recognize(encoding.NewTermScanner(r), TermEncoding, opt, q.elEvaluator, q.stackEL)
+	return q.recognize(encoding.NewTermScanner(r), TermEncoding, semEL, opt)
 }
 
 // RecognizeALTerm recognizes AL over brace-notation input.
 func (q *Query) RecognizeALTerm(r io.Reader, opt Options) (bool, Stats, error) {
-	return q.recognize(encoding.NewTermScanner(r), TermEncoding, opt, q.alEvaluator, q.stackAL)
+	return q.recognize(encoding.NewTermScanner(r), TermEncoding, semAL, opt)
 }
 
-func (q *Query) recognize(src encoding.Source, enc Encoding, opt Options,
-	pickFn func(Encoding, bool) (core.Evaluator, Strategy, error),
-	stackFn func() core.Evaluator) (bool, Stats, error) {
+func (q *Query) recognize(src encoding.Source, enc Encoding, sem semantics, opt Options) (bool, Stats, error) {
 	src = opt.guard(src)
 	opt.Workers = effectiveWorkers(opt.Workers)
-	c := opt.Collector
-	var ev core.Evaluator
-	var st Strategy
-	var err error
-	if opt.ForceStack {
-		ev, st = stackFn(), Stack
-	} else {
-		ev, st, err = pickFn(enc, !opt.ForbidStack)
-	}
+	ev, st, err := q.machine(sem, enc, opt)
 	if err != nil {
 		return false, Stats{Strategy: st}, err
 	}
-	if c != nil {
-		core.Instrument(ev, c)
-		if st == Stack {
-			c.StackFallbacks.Inc()
-		}
-	}
 	stats := Stats{Strategy: st, Workers: 1, Chunks: 1}
-	if cm, chunkable := ev.(core.Chunkable); chunkable && opt.Workers > 1 {
-		if parallel.Coded(cm) {
-			stats.Pipeline = PipelineCoded
-		} else {
-			stats.Pipeline = PipelineString
-		}
-		events, err := encoding.ReadAll(src)
-		stats.Events = len(events)
+	if cm, ok := ev.(core.Chunkable); ok && opt.Workers > 1 {
+		events, err := readChunked(src, cm, opt, &stats)
 		if err != nil {
-			if c != nil {
-				c.Events.Add(int64(len(events)))
-			}
 			return false, stats, err
 		}
-		stats.Workers = opt.Workers
-		policy := cm.Cut()
-		stats.CutPolicy = policy.String()
-		cuts := parallel.SplitPoints(len(events), opt.Workers)
-		switch {
-		case policy == core.CutAll:
-			stats.Fallback = "cutall"
-		case len(cuts) == 0:
-			stats.Fallback = "short"
-		case policy == core.CutBoundedDepth && !parallel.SpeculationViable(events, len(cuts)+1):
-			stats.Fallback = "deep"
-		default:
-			stats.Chunks = len(cuts) + 1
-			if policy == core.CutBoundedDepth {
-				stats.Fallback = "speculative"
-			}
-		}
-		return parallel.RecognizeObs(parallel.Shared(), cm, events, opt.Workers, c), stats, nil
+		return parallel.RecognizeObs(parallel.Shared(), cm, events, opt.Workers, opt.Collector), stats, nil
 	}
-	if opt.Workers > 1 {
-		stats.Fallback = "strategy"
-		if c != nil {
-			c.SeqFallbacks.Inc()
-		}
-	}
-	if core.CodedCapable(ev) {
-		stats.Pipeline = PipelineCoded
-	} else {
-		stats.Pipeline = PipelineString
-	}
-	ok, err := core.RecognizeCodedObs(ev, c, src)
+	sequentialStats(ev, opt, &stats)
+	ok, events, err := core.RecognizeCodedObs(ev, opt.Collector, src)
+	stats.Events = events
 	return ok, stats, err
 }
-
-func (q *Query) stackQuery() core.Evaluator { return stackeval.QL(q.an.D) }
-func (q *Query) stackEL() core.Evaluator    { return stackeval.EL(q.an.D) }
-func (q *Query) stackAL() core.Evaluator    { return stackeval.AL(q.an.D) }
