@@ -50,11 +50,16 @@ func main() {
 }
 
 // kernelNames are the batch-kernel methods the gate derives its target set
-// from; every implementation must be annotated plain or partial.
+// from — the step kernels, and the byte lexers' scan loops and the batch
+// fill that drives them; every implementation must be annotated plain or
+// partial.
 var kernelNames = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,
 	"SimulateSegmentCoded": true,
+	"lexXML":               true,
+	"lexTerm":              true,
+	"fillBatch":            true,
 }
 
 // foundRe matches the check_bce diagnostics the compiler emits.

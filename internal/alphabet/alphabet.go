@@ -189,11 +189,20 @@ type Coder struct {
 
 // NewCoder returns a coder for the alphabet.
 func NewCoder(a *Alphabet) *Coder {
-	c := &Coder{alph: a, unknown: Sym(a.Size())}
+	c := &Coder{}
+	c.Reset(a)
+	return c
+}
+
+// Reset empties the coder's caches and points it at alphabet a, so one
+// Coder can serve run after run (the coded drivers pool theirs).
+func (c *Coder) Reset(a *Alphabet) {
+	c.alph, c.unknown = a, Sym(a.Size())
 	for i := range c.b1 {
 		c.b1[i] = -1
 	}
-	return c
+	clear(c.labels)
+	c.labels, c.codes, c.over = c.labels[:0], c.codes[:0], nil
 }
 
 // Alphabet returns the alphabet the codes index into.

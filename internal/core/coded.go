@@ -10,9 +10,9 @@ import (
 
 // Compiled symbol-coded pipeline (DESIGN.md §11). Machines that can lower
 // their transitions into flat state×symbol tables implement BatchEvaluator;
-// the coded drivers below batch the event stream through encoding.Batcher
-// and step whole batches per call, eliminating the per-event interface
-// dispatch and label hashing of the string pipeline. Machines that cannot
+// the coded drivers below batch the event stream through a pooled
+// encoding.Batcher and step whole batches per call, eliminating the
+// per-event interface dispatch and label hashing of the string pipeline. Machines that cannot
 // compile (the pushdown fallback, the EL/AL wrappers) fall back to the
 // generic Select/Recognize path — the coded entry points are drop-in
 // replacements with identical results either way.
@@ -84,11 +84,10 @@ func SelectCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source, fn func
 //treelint:plain
 func selectCodedPlain(be BatchEvaluator, src encoding.Source, fn func(Match)) (int, error) {
 	be.Reset()
-	//treelint:partial run prologue: one batcher+coder per run, O(1) and outside the per-event loop
-	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
+	b := encoding.AcquireBatcher(src, be.CodeAlphabet())
 	events := 0
 	pos, depth := -1, 0
-	var hits []int32
+	hits := b.Hits()
 	for {
 		batch, opens, err := b.NextBatch()
 		if len(batch) > 0 {
@@ -110,10 +109,11 @@ func selectCodedPlain(be BatchEvaluator, src encoding.Source, fn func(Match)) (i
 			pos += opens
 			depth += 2*opens - len(batch)
 		}
-		if err == io.EOF {
-			return events, nil
-		}
 		if err != nil {
+			b.Release()
+			if err == io.EOF {
+				return events, nil
+			}
 			return events, err
 		}
 	}
@@ -123,11 +123,12 @@ func selectCodedPlain(be BatchEvaluator, src encoding.Source, fn func(Match)) (i
 // the per-open depth histogram, matching SelectObs's samples exactly.
 func selectCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source, fn func(Match)) (int, error) {
 	be.Reset()
-	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
+	b := encoding.AcquireBatcher(src, be.CodeAlphabet())
+	defer b.Release()
 	events := 0
 	matches := 0
 	pos, depth := -1, 0
-	var hits []int32
+	hits := b.Hits()
 	for {
 		batch, _, err := b.NextBatch()
 		if len(batch) > 0 {
@@ -193,17 +194,17 @@ func RecognizeCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source) (boo
 //treelint:plain
 func recognizeCodedPlain(be BatchEvaluator, src encoding.Source) (bool, int, error) {
 	be.Reset()
-	//treelint:partial run prologue: one batcher+coder per run, O(1) and outside the per-event loop
-	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
+	b := encoding.AcquireBatcher(src, be.CodeAlphabet())
 	events := 0
 	for {
 		batch, _, err := b.NextBatch()
 		events += len(batch)
 		be.StepBatch(batch)
-		if err == io.EOF {
-			return be.Accepting(), events, nil
-		}
 		if err != nil {
+			b.Release()
+			if err == io.EOF {
+				return be.Accepting(), events, nil
+			}
 			return false, events, err
 		}
 	}
@@ -213,7 +214,8 @@ func recognizeCodedPlain(be BatchEvaluator, src encoding.Source) (bool, int, err
 // whole, then walked for the depth histogram.
 func recognizeCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source) (bool, int, error) {
 	be.Reset()
-	b := encoding.NewBatcher(src, alphabet.NewCoder(be.CodeAlphabet()), encoding.DefaultBatch)
+	b := encoding.AcquireBatcher(src, be.CodeAlphabet())
+	defer b.Release()
 	events := 0
 	depth := 0
 	for {

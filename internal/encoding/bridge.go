@@ -45,11 +45,13 @@ func (s *StdXMLSource) Next() (Event, error) {
 // root(a(b,c(item,item))). Arrays introduce children labelled ArrayItem;
 // scalars are leaves. The root object is labelled RootLabel.
 type JSONSource struct {
-	dec    *json.Decoder
-	events []Event // small lookahead buffer
-	stack  []jsonCtx
-	done   bool
-	opened bool
+	dec     *json.Decoder
+	events  []Event // small lookahead buffer
+	stack   []jsonCtx
+	done    bool
+	opened  bool
+	drained bool  // the input after the root was read
+	tail    error // the reader's error after the root
 }
 
 type jsonCtx struct {
@@ -71,7 +73,7 @@ func NewJSONSource(r io.Reader) *JSONSource {
 func (s *JSONSource) Next() (Event, error) {
 	for len(s.events) == 0 {
 		if s.done {
-			return Event{}, io.EOF
+			return Event{}, s.end()
 		}
 		if err := s.advance(); err != nil {
 			return Event{}, err
@@ -123,16 +125,39 @@ func (s *JSONSource) advance() error {
 	return s.handleValueOrKey(tok)
 }
 
+// end reports how the input after the root ends: io.EOF, unless the
+// reader fails there, whose error is returned. Trailing content is
+// ignored.
+func (s *JSONSource) end() error {
+	if !s.drained {
+		s.drained = true
+		if _, err := s.dec.Token(); err != nil && err != io.EOF && !tokenizerError(err) {
+			s.tail = err
+		}
+	}
+	if s.tail != nil {
+		return s.tail
+	}
+	return io.EOF
+}
+
 // malformed types a tokenizer error: syntax errors and input ending inside
 // a token (io.ErrUnexpectedEOF) wrap ErrMalformed with the decoder's byte
 // offset, keeping the cause matchable. Errors of the underlying reader
 // pass through unchanged.
 func (s *JSONSource) malformed(err error) error {
-	var syn *json.SyntaxError
-	if errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &syn) {
+	if tokenizerError(err) {
 		return fmt.Errorf("%w at byte %d: %w", ErrMalformed, s.dec.InputOffset(), err)
 	}
 	return err
+}
+
+// tokenizerError reports whether err is the tokenizer's verdict on the
+// input (a syntax error, or input ending inside a token) rather than the
+// reader's own error.
+func tokenizerError(err error) bool {
+	var syn *json.SyntaxError
+	return errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &syn)
 }
 
 func (s *JSONSource) handleValueOrKey(tok json.Token) error {
@@ -156,8 +181,11 @@ func (s *JSONSource) handleValueOrKey(tok json.Token) error {
 	// Peek the value: scalar closes immediately; container defers the close
 	// to the matching closing delimiter.
 	val, err := s.dec.Token()
-	if err != nil {
+	if err == io.EOF {
 		return fmt.Errorf("%w: key %q without value", ErrMalformed, key)
+	}
+	if err != nil {
+		return s.malformed(err)
 	}
 	if d, isDelim := val.(json.Delim); isDelim {
 		switch d {

@@ -198,8 +198,17 @@ type balancedSource struct {
 	done   bool
 }
 
-// CheckBalance wraps src with the balance guard.
-func CheckBalance(src Source) Source { return &balancedSource{inner: src} }
+// CheckBalance wraps src with the balance guard. On an XMLScanner or a
+// TermScanner it switches on the lexer's inline guard instead and returns
+// src itself, so a Batcher over the result still reads the lexer's coded
+// batches. Guard errors name their byte offset there.
+func CheckBalance(src Source) Source {
+	if ls, ok := src.(lexSource); ok {
+		ls.lexerOf().guard = true
+		return src
+	}
+	return &balancedSource{inner: src}
+}
 
 // Next implements Source.
 func (b *balancedSource) Next() (Event, error) {
