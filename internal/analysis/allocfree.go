@@ -23,7 +23,8 @@ var AllocFree = &Analyzer{
 	Name: "allocfree",
 	Doc: "//treelint:plain kernels must not reach make, new, append growth into a " +
 		"non-parameter slice, heap composite literals, closures, map writes, " +
-		"string/[]byte conversions or explicit interface boxing on any live path, " +
+		"string/[]byte conversions (but for the key of a map read m[string(b)]) or explicit " +
+		"interface boxing on any live path, " +
 		"directly or through package-local callees; annotate deliberate sites with " +
 		"//treelint:partial <reason>",
 	Run: runAllocFree,
@@ -145,6 +146,8 @@ func collectAllocs(pass *Pass, cg *CallGraph, n *FuncNode, s *allocSummary) {
 	g := BuildCFG(body, pass.TypesInfo)
 	cyc := g.InCycle()
 	reach := g.Reachable()
+	stores := map[ast.Expr]bool{}    // assignment and ++/-- targets
+	keys := map[*ast.CallExpr]bool{} // string(b) keys of map reads: no conversion is made
 	for _, b := range g.Blocks {
 		if !reach[b] {
 			continue
@@ -169,21 +172,41 @@ func collectAllocs(pass *Pass, cg *CallGraph, n *FuncNode, s *allocSummary) {
 					case *types.Map:
 						s.sites = append(s.sites, allocSite{pos: x.Pos(), what: "map literal", inLoop: inLoop})
 					}
+				case *ast.IncDecStmt:
+					stores[x.X] = true
 				case *ast.AssignStmt:
 					for _, lhs := range x.Lhs {
+						stores[lhs] = true
 						if ix, ok := lhs.(*ast.IndexExpr); ok {
 							if _, isMap := typeOf(pass, ix.X).(*types.Map); isMap {
 								s.sites = append(s.sites, allocSite{pos: ix.Pos(), what: "map write", inLoop: inLoop})
 							}
 						}
 					}
+				case *ast.IndexExpr:
+					// A read m[string(b)] looks the bytes up without
+					// converting them; a store keeps the key, so converts.
+					if call, ok := x.Index.(*ast.CallExpr); ok && !stores[x] && isBytesToString(pass, call) {
+						if _, isMap := typeOf(pass, x.X).(*types.Map); isMap {
+							keys[call] = true
+						}
+					}
 				case *ast.CallExpr:
-					classifyCall(pass, cg, n, x, inLoop, s)
+					if !keys[x] {
+						classifyCall(pass, cg, n, x, inLoop, s)
+					}
 				}
 				return true
 			})
 		}
 	}
+}
+
+// isBytesToString reports whether call converts a byte slice to a string.
+func isBytesToString(pass *Pass, call *ast.CallExpr) bool {
+	tv, ok := pass.TypesInfo.Types[call.Fun]
+	return ok && tv.IsType() && len(call.Args) == 1 &&
+		isString(tv.Type.Underlying()) && isByteSlice(typeOf(pass, call.Args[0]))
 }
 
 // typeOf returns the underlying checked type of an expression, or nil.

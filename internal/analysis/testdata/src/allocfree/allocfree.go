@@ -97,6 +97,19 @@ func kConvert(b []byte, it item) int {
 	return len(s) + len(x.String())
 }
 
+var interned = map[string]int{}
+
+// kMapKey looks a byte slice up as a map key, which converts nothing, and
+// stores under it, which converts it and writes the map.
+//
+//treelint:plain
+func kMapKey(b []byte) int {
+	n := interned[string(b)]
+	interned[string(b)] = n // want "map write" "string/\[\]byte conversion"
+	interned[string(b)]++   // want "string/\[\]byte conversion"
+	return n
+}
+
 type boxed item
 
 func (b boxed) String() string { return "" }
