@@ -469,6 +469,29 @@ func BenchmarkXMLScanner(b *testing.B) {
 	}
 }
 
+// BenchmarkXMLScannerSharedPrefix drains ~2 MB of empty elements over
+// 5,000 distinct 17-byte tag names that share a 12-byte prefix: the label
+// shape (long, same length, common prefix) that no catalog label has, so
+// an interning shortcut for short or early-differing labels shows its
+// cost here.
+func BenchmarkXMLScannerSharedPrefix(b *testing.B) {
+	var doc bytes.Buffer
+	doc.WriteString("<root>")
+	for i := 0; doc.Len() < 2<<20; i++ {
+		fmt.Fprintf(&doc, "<column_name_%05d/>", i%5000)
+	}
+	doc.WriteString("</root>")
+	b.SetBytes(int64(doc.Len()))
+	for i := 0; i < b.N; i++ {
+		src := encoding.NewXMLScanner(bytes.NewReader(doc.Bytes()))
+		for {
+			if _, err := src.Next(); err != nil {
+				break
+			}
+		}
+	}
+}
+
 func BenchmarkStdXMLBridge(b *testing.B) {
 	loadFixtures()
 	b.SetBytes(int64(len(fixtures.catalogXML)))
