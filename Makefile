@@ -99,9 +99,10 @@ bench:
 	$(GO) test -run '^$$' -bench SelectParallel -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_parallel.json
 
 # Regenerate the compiled-pipeline benchmark snapshot: every evaluator
-# family through the string and coded Select paths on the same documents.
+# family through the string and coded Select paths on the same documents,
+# and the EL/AL wrappers through the string and coded Recognize paths.
 bench-coded:
-	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectCoded -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson > BENCH_coded.json
+	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench 'SelectCoded|RecognizeWrappers' -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson > BENCH_coded.json
 
 # Regenerate the multi-query benchmark snapshot: the merged product
 # automaton against the fan-out it replaces at 8/64/512 queries.
@@ -133,7 +134,7 @@ bench-stack-gate:
 # decorrelates scheduler jitter, which hits back-to-back -count repeats
 # of one benchmark together — and benchjson takes the per-metric median.
 bench-coded-gate:
-	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectCoded -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson -compare BENCH_coded.json -tolerance $(TOLERANCE)
+	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench 'SelectCoded|RecognizeWrappers' -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson -compare BENCH_coded.json -tolerance $(TOLERANCE)
 
 clean:
 	rm -f dralint classify streamq

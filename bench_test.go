@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -787,7 +788,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 func benchSelectPipelines(b *testing.B, ev core.Evaluator, events []encoding.Event) {
 	b.Helper()
-	if !core.CodedCapable(ev) {
+	if _, ok := ev.(core.BatchEvaluator); !ok {
 		b.Fatal("machine does not support the compiled pipeline")
 	}
 	var want int
@@ -869,6 +870,76 @@ func BenchmarkSelectCodedSynopsisEL(b *testing.B) {
 func BenchmarkSelectCodedDRA(b *testing.B) {
 	loadFixtures()
 	benchSelectPipelines(b, core.Example26().Evaluator(), fixtures.abcDoc)
+}
+
+// wrapperBenchDocs derives from the random tree the two documents on which
+// the EL and AL wrappers of .*a.*b read every event: every label b turned
+// to c, so no leaf is selected and EL rejects at the end; and the root
+// relabelled a and every leaf b, so every leaf is selected and AL accepts
+// at the end.
+func wrapperBenchDocs() (noMatch, allLeaves []encoding.Event) {
+	noMatch = slices.Clone(fixtures.abcDoc)
+	allLeaves = slices.Clone(fixtures.abcDoc)
+	for i, e := range noMatch {
+		if e.Label == "b" {
+			noMatch[i].Label = "c"
+		}
+		if e.Kind == encoding.Open && i+1 < len(allLeaves) && allLeaves[i+1].Kind == encoding.Close {
+			allLeaves[i].Label, allLeaves[i+1].Label = "b", "b"
+		}
+	}
+	allLeaves[0].Label, allLeaves[len(allLeaves)-1].Label = "a", "a"
+	return noMatch, allLeaves
+}
+
+// BenchmarkRecognizeWrappers: the EL and AL wrappers (Theorems 3.1 and
+// 3.2(3)) of .*a.*b over the stackless machine and the pushdown, through
+// the per-event string driver and the coded batch driver, on documents
+// whose verdict is decided only by the last event.
+func BenchmarkRecognizeWrappers(b *testing.B) {
+	loadFixtures()
+	noMatch, allLeaves := wrapperBenchDocs()
+	an := classify.Analyze(rex.MustCompile(paperfigs.Fig3cRegex, paperfigs.GammaABC()))
+	sl, err := core.StacklessQL(an)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []struct {
+		name   string
+		ev     core.Evaluator
+		events []encoding.Event
+		want   bool
+	}{
+		{"el-stackless", core.ELFromQL(sl), noMatch, false},
+		{"al-stackless", core.ALFromQL(sl), allLeaves, true},
+		{"el-stack", stackeval.EL(an.D), noMatch, false},
+		{"al-stack", stackeval.AL(an.D), allLeaves, true},
+	} {
+		for _, mode := range []struct {
+			name string
+			rec  func(core.Evaluator, encoding.Source) (bool, error)
+		}{
+			{"string", core.Recognize},
+			{"coded", core.RecognizeCoded},
+		} {
+			b.Run(m.name+"/"+mode.name, func(b *testing.B) {
+				src := encoding.NewSliceSource(m.events)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					src.Rewind()
+					got, err := mode.rec(m.ev, src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got != m.want {
+						b.Fatalf("verdict %v, want %v", got, m.want)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(m.events)), "ns/event")
+			})
+		}
+	}
 }
 
 // --- Earliest emission (DESIGN.md §14). ---

@@ -87,8 +87,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	allValid := true
 	check := func(name string, r io.Reader) {
 		// The balance guard rejects truncated or gross-transport-damaged
-		// streams, matching the public API's default.
-		ok, err := core.Recognize(validator, encoding.CheckBalance(encoding.NewXMLScanner(r)))
+		// streams, matching the public API's default. The compiled
+		// validators run coded batches; the stack validator has no batch
+		// kernel and runs per event.
+		ok, err := core.RecognizeCoded(validator, encoding.CheckBalance(encoding.NewXMLScanner(r)))
 		if err != nil {
 			allValid = false
 			fmt.Fprintf(stdout, "%s: error: %v\n", name, err)

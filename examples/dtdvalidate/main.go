@@ -45,7 +45,7 @@ func main() {
 		"<doc><item><doc/></item></doc>", // doc below item: invalid
 	}
 	for _, x := range docs {
-		ok, err := core.Recognize(ev, encoding.NewXMLScanner(strings.NewReader(x)))
+		ok, err := core.RecognizeCoded(ev, encoding.NewXMLScanner(strings.NewReader(x)))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,7 +49,6 @@ var driveMethods = map[string]bool{
 	"Step":                 true,
 	"StepBatch":            true,
 	"SelectBatch":          true,
-	"SimulateSegment":      true,
 	"SimulateSegmentCoded": true,
 }
 

@@ -12,8 +12,11 @@ import (
 // their transitions into flat state×symbol tables implement BatchEvaluator;
 // the coded drivers below batch the event stream through a pooled
 // encoding.Batcher and step whole batches per call, eliminating the
-// per-event interface dispatch and label hashing of the string pipeline. Machines that cannot
-// compile (the pushdown fallback, the EL/AL wrappers) fall back to the
+// per-event interface dispatch and label hashing of the string pipeline.
+// Every machine the public API runs compiles: the tag DFAs, the synopsis
+// machines, the stackless machines, the pushdown and the EL/AL wrappers
+// over the last two. Machines without batch kernels (the DTD stack
+// validator, the pattern matcher, the boolean products) fall back to the
 // generic Select/Recognize path — the coded entry points are drop-in
 // replacements with identical results either way.
 
@@ -35,20 +38,14 @@ type BatchEvaluator interface {
 	SelectBatch(batch []encoding.CodedEvent, hits []int32) []int32
 }
 
-// CodedSegmentKernel is SegmentKernel over coded events: the all-states
-// segment simulation of the chunk-parallel engine with the label resolution
-// hoisted out (internal/parallel codes the buffered stream once and hands
-// each fork coded segments).
+// CodedSegmentKernel is implemented by machines with a one-pass all-states
+// segment simulation over coded events — the hot path of
+// internal/parallel, which codes the buffered stream once and hands each
+// fork coded segments. Machines without one run SimulateSegmentGeneric.
 type CodedSegmentKernel interface {
-	// SimulateSegmentCoded is SimulateSegment over a coded segment.
+	// SimulateSegmentCoded runs the segment from every control state at
+	// once, appending match candidates to cands when it is non-nil.
 	SimulateSegmentCoded(seg []encoding.CodedEvent, cands *CandSet) []SegmentExit
-}
-
-// CodedCapable reports whether ev runs the compiled pipeline — used by the
-// public API to report which pipeline a run took.
-func CodedCapable(ev Evaluator) bool {
-	_, ok := ev.(BatchEvaluator)
-	return ok
 }
 
 // SelectCoded is Select through the compiled pipeline when ev supports it,

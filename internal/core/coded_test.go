@@ -57,6 +57,22 @@ func codedMachines(t *testing.T) []codedMachine {
 		}),
 		mk("stackless/markup", false, func() (Evaluator, error) { return StacklessQL(an3c) }),
 		mk("stackless/term", true, func() (Evaluator, error) { return BlindStacklessQL(an3c) }),
+		mk("el/stackless", false, func() (Evaluator, error) { return wrapped(ELFromQL, StacklessQL, an3c) }),
+		mk("al/stackless-term", true, func() (Evaluator, error) { return wrapped(ALFromQL, BlindStacklessQL, an3c) }),
+		mk("el/tagdfa-term", true, func() (Evaluator, error) {
+			d, err := BlindRegisterlessQL(an3a)
+			if err != nil {
+				return nil, err
+			}
+			return ELFromQL(d.Evaluator().(Chunkable)), nil
+		}),
+		mk("al/tagdfa", false, func() (Evaluator, error) {
+			d, err := RegisterlessQL(an3a)
+			if err != nil {
+				return nil, err
+			}
+			return ALFromQL(d.Evaluator().(Chunkable)), nil
+		}),
 		mk("synopsis/el", false, func() (Evaluator, error) { return RegisterlessEL(an3a) }),
 		mk("synopsis/el-cofinite", false, func() (Evaluator, error) { return RegisterlessEL(anCof) }),
 		mk("synopsis/al", false, func() (Evaluator, error) { return RegisterlessAL(an3b) }),
@@ -67,12 +83,21 @@ func codedMachines(t *testing.T) []codedMachine {
 	}
 }
 
+// wrapped builds an EL or AL wrapper over a stackless machine.
+func wrapped(wrap func(Chunkable) Chunkable, build func(*classify.Analysis) (*StacklessEvaluator, error), an *classify.Analysis) (Evaluator, error) {
+	m, err := build(an)
+	if err != nil {
+		return nil, err
+	}
+	return wrap(m), nil
+}
+
 // checkCodedParity runs the same stream through the string and coded
 // pipelines and fails on any divergence in events, matches or acceptance.
 func checkCodedParity(t *testing.T, m codedMachine, events []encoding.Event) {
 	t.Helper()
 	ev := m.fresh()
-	if !CodedCapable(ev) {
+	if _, ok := ev.(BatchEvaluator); !ok {
 		t.Fatalf("%s: evaluator does not implement BatchEvaluator", m.name)
 	}
 	var want, got []Match
@@ -235,6 +260,21 @@ func TestCodedUnknownOpenPoisons(t *testing.T) {
 			{Kind: encoding.Open, Label: "a"},
 			{Kind: encoding.Open, Label: "b"},
 		}
+		if _, ok := m.fresh().(*chunkableAL); ok {
+			// The AL wrapper accepts until a leaf is rejected: the dead inner
+			// selects nothing, so the first leaf below the unknown open
+			// fails the run.
+			leaf := encoding.Event{Kind: encoding.Close}
+			if !m.blind {
+				leaf.Label = "b"
+			}
+			events = append(events, leaf)
+			if acc, err := RecognizeCoded(m.fresh(), encoding.NewSliceSource(events)); err != nil || acc {
+				t.Fatalf("%s: accepting (%v, %v) after a leaf below an out-of-alphabet open", m.name, acc, err)
+			}
+			checkCodedParity(t, m, events)
+			continue
+		}
 		n := 0
 		if _, err := SelectCoded(m.fresh(), encoding.NewSliceSource(events), func(Match) { n++ }); err != nil {
 			t.Fatalf("%s: %v", m.name, err)
@@ -285,9 +325,9 @@ func TestCodedStepInterleave(t *testing.T) {
 	}
 }
 
-// SimulateSegment parity: the coded all-states kernels must produce the
-// same exits and candidate sets as the string kernels, unknown labels and
-// all.
+// Segment kernel parity: the coded all-states kernels must produce the
+// same exits and candidate sets as SimulateSegmentGeneric, which steps each
+// entry state's run through Step, unknown labels and all.
 func TestCodedSegmentKernelParity(t *testing.T) {
 	an3a := classify.Analyze(paperfigs.Fig3a())
 	an3c := classify.Analyze(paperfigs.Fig3c())
@@ -318,7 +358,6 @@ func TestCodedSegmentKernelParity(t *testing.T) {
 		{"stackless/term", stB, true},
 	}
 	for _, c := range cases {
-		sk := c.ev.(SegmentKernel)
 		ck := c.ev.(CodedSegmentKernel)
 		ch := c.ev.(Chunkable)
 		be := c.ev.(BatchEvaluator)
@@ -327,14 +366,14 @@ func TestCodedSegmentKernelParity(t *testing.T) {
 			seg := randomEvents(rng, c.blind, 1+rng.Intn(30))
 			want := NewCandSet(ch.ChunkStates())
 			got := NewCandSet(ch.ChunkStates())
-			exWant := sk.SimulateSegment(seg, want)
+			exWant := SimulateSegmentGeneric(ch.Fork(), seg, want)
 			exGot := ck.SimulateSegmentCoded(encoding.CodeEvents(alphabet.NewCoder(be.CodeAlphabet()), seg, nil), got)
 			if len(exWant) != len(exGot) {
 				t.Fatalf("%s: exit count %d vs %d", c.name, len(exWant), len(exGot))
 			}
 			for q := range exWant {
 				if exWant[q].State != exGot[q].State {
-					t.Fatalf("%s: exit[%d] state %d (string) vs %d (coded) on %v", c.name, q, exWant[q].State, exGot[q].State, seg)
+					t.Fatalf("%s: exit[%d] state %d (generic) vs %d (coded) on %v", c.name, q, exWant[q].State, exGot[q].State, seg)
 				}
 				rw, _ := exWant[q].Regs.([]record)
 				rg, _ := exGot[q].Regs.([]record)
@@ -348,7 +387,7 @@ func TestCodedSegmentKernelParity(t *testing.T) {
 				}
 			}
 			if len(want.Cands) != len(got.Cands) {
-				t.Fatalf("%s: %d candidates (string) vs %d (coded) on %v", c.name, len(want.Cands), len(got.Cands), seg)
+				t.Fatalf("%s: %d candidates (generic) vs %d (coded) on %v", c.name, len(want.Cands), len(got.Cands), seg)
 			}
 			for j := range want.Cands {
 				if want.Cands[j] != got.Cands[j] {

@@ -285,94 +285,3 @@ func RunEvents(ev Evaluator, events []encoding.Event) bool {
 	}
 	return ev.Accepting()
 }
-
-// elWrapper turns an evaluator realizing QL into a recognizer of EL, per
-// the proof of Theorem 3.1: move to an all-accepting sink when a closing
-// tag immediately follows an opening tag read in an accepting state —
-// i.e. when a selected leaf is detected.
-type elWrapper struct {
-	inner            Evaluator
-	prevOpenSelected bool
-	matched          bool
-}
-
-// ELFromQL wraps a QL evaluator into an EL recognizer (Theorem 3.1 proof).
-// When the inner machine supports chunk-parallel evaluation, so does the
-// wrapper (see chunk.go).
-func ELFromQL(inner Evaluator) Evaluator {
-	if c, ok := inner.(Chunkable); ok {
-		return &chunkableEL{inner: c}
-	}
-	return &elWrapper{inner: inner}
-}
-
-func (w *elWrapper) Reset() {
-	w.inner.Reset()
-	w.prevOpenSelected = false
-	w.matched = false
-}
-
-func (w *elWrapper) Step(e encoding.Event) {
-	if w.matched {
-		return
-	}
-	if e.Kind == encoding.Close && w.prevOpenSelected {
-		w.matched = true
-		return
-	}
-	w.inner.Step(e)
-	w.prevOpenSelected = e.Kind == encoding.Open && w.inner.Accepting()
-}
-
-func (w *elWrapper) Accepting() bool { return w.matched }
-
-// SetObs implements Instrumented by forwarding to the inner machine.
-func (w *elWrapper) SetObs(c *obs.Collector) { Instrument(w.inner, c) }
-
-func (w *elWrapper) flushObs() { flushEvObs(w.inner) }
-
-// alWrapper is the dual construction from the proof of Theorem 3.2(3):
-// move to an all-rejecting sink when a leaf is read in a rejecting state.
-type alWrapper struct {
-	inner            Evaluator
-	prevOpenRejected bool
-	failed           bool
-	started          bool
-}
-
-// ALFromQL wraps a QL evaluator into an AL recognizer (Theorem 3.2 proof).
-// When the inner machine supports chunk-parallel evaluation, so does the
-// wrapper (see chunk.go).
-func ALFromQL(inner Evaluator) Evaluator {
-	if c, ok := inner.(Chunkable); ok {
-		return &chunkableAL{inner: c}
-	}
-	return &alWrapper{inner: inner}
-}
-
-func (w *alWrapper) Reset() {
-	w.inner.Reset()
-	w.prevOpenRejected = false
-	w.failed = false
-	w.started = false
-}
-
-func (w *alWrapper) Step(e encoding.Event) {
-	if w.failed {
-		return
-	}
-	w.started = true
-	if e.Kind == encoding.Close && w.prevOpenRejected {
-		w.failed = true
-		return
-	}
-	w.inner.Step(e)
-	w.prevOpenRejected = e.Kind == encoding.Open && !w.inner.Accepting()
-}
-
-func (w *alWrapper) Accepting() bool { return w.started && !w.failed }
-
-// SetObs implements Instrumented by forwarding to the inner machine.
-func (w *alWrapper) SetObs(c *obs.Collector) { Instrument(w.inner, c) }
-
-func (w *alWrapper) flushObs() { flushEvObs(w.inner) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"stackless/internal/alphabet"
@@ -12,14 +13,21 @@ import (
 // exercised through the end-to-end recognizers), including the
 // unspecified-after-Close convention: a node-selecting evaluator's
 // Accepting value after Close events is unspecified (Section 2.3), so the
-// wrappers must never consult it there.
+// wrappers must never consult it there. Every case runs both by Step and
+// by the batch kernels, at several batch sizes.
+
+// mockAlphabet codes the mock's labels.
+var mockAlphabet = alphabet.Letters("abc")
 
 // mockQL selects nodes whose label is in sel, tracked with an explicit
-// label stack. After Close events its Accepting value is deliberately
+// label stack, on the events Step gets and on the coded batches the batch
+// kernels get. After Close events its Accepting value is deliberately
 // garbage when poisonAfterClose is set, and every Accepting call made
 // while the last event was a Close is counted — the wrappers must make
-// none.
+// none. The embedded Chunkable stays nil: the wrappers' Step and batch
+// kernels reach only the methods below, never the segment ones.
 type mockQL struct {
+	Chunkable
 	sel              map[string]bool
 	poisonAfterClose bool
 
@@ -54,8 +62,35 @@ func (m *mockQL) Accepting() bool {
 			return m.calls%2 == 0 // garbage: alternates per call
 		}
 	}
-	return len(m.stack) > 0 && m.sel[m.stack[len(m.stack)-1]]
+	return m.selected()
 }
+
+func (m *mockQL) selected() bool { return len(m.stack) > 0 && m.sel[m.stack[len(m.stack)-1]] }
+
+// JoinState reports a live run: the mock never poisons.
+func (m *mockQL) JoinState() int { return 0 }
+
+func (m *mockQL) CodeAlphabet() *alphabet.Alphabet { return mockAlphabet }
+
+func (m *mockQL) StepBatch(batch []encoding.CodedEvent) { m.SelectBatch(batch, nil) }
+
+func (m *mockQL) SelectBatch(batch []encoding.CodedEvent, hits []int32) []int32 {
+	for i, e := range batch {
+		label := ""
+		if e.Kind == encoding.Open {
+			label = mockAlphabet.Symbol(int(e.Sym))
+		}
+		m.Step(encoding.Event{Kind: e.Kind, Label: label})
+		if e.Kind == encoding.Open && m.selected() {
+			hits = append(hits, int32(i))
+		}
+	}
+	return hits
+}
+
+// batchSizes are the batch sizes every wrapper case runs at: one event per
+// batch, sizes that split the documents at every offset, and one batch.
+var batchSizes = []int{1, 2, 3, 7, encoding.DefaultBatch}
 
 func runWrapper(w Evaluator, events []encoding.Event) bool {
 	w.Reset()
@@ -63,6 +98,48 @@ func runWrapper(w Evaluator, events []encoding.Event) bool {
 		w.Step(e)
 	}
 	return w.Accepting()
+}
+
+// runWrapperBatched is runWrapper through StepBatch, size events a batch.
+func runWrapperBatched(w Chunkable, events []encoding.Event, size int) bool {
+	coded := encoding.CodeEvents(alphabet.NewCoder(w.CodeAlphabet()), events, nil)
+	w.Reset()
+	for len(coded) > 0 {
+		n := min(size, len(coded))
+		w.StepBatch(coded[:n])
+		coded = coded[n:]
+	}
+	return w.Accepting()
+}
+
+// wrapperHits lists the Opens after which w accepts, by Step.
+func wrapperHits(w Evaluator, events []encoding.Event) []int32 {
+	var hits []int32
+	w.Reset()
+	for i, e := range events {
+		w.Step(e)
+		if e.Kind == encoding.Open && w.Accepting() {
+			hits = append(hits, int32(i))
+		}
+	}
+	return hits
+}
+
+// wrapperHitsBatched is wrapperHits through SelectBatch, size events a
+// batch, with the hits shifted to stream indices.
+func wrapperHitsBatched(w Chunkable, events []encoding.Event, size int) []int32 {
+	coded := encoding.CodeEvents(alphabet.NewCoder(w.CodeAlphabet()), events, nil)
+	var hits []int32
+	w.Reset()
+	for lo := 0; lo < len(coded); lo += size {
+		hi := min(lo+size, len(coded))
+		n := len(hits)
+		hits = w.SelectBatch(coded[lo:hi], hits)
+		for j := n; j < len(hits); j++ {
+			hits[j] += int32(lo)
+		}
+	}
+	return hits
 }
 
 func TestELALWrapperVerdicts(t *testing.T) {
@@ -84,25 +161,37 @@ func TestELALWrapperVerdicts(t *testing.T) {
 		{"b(a(c,c),a(c))", []string{"c"}, true, true},
 	}
 	for _, tc := range cases {
-		for _, poison := range []bool{false, true} {
-			sel := map[string]bool{}
-			for _, s := range tc.sel {
-				sel[s] = true
+		sel := map[string]bool{}
+		for _, s := range tc.sel {
+			sel[s] = true
+		}
+		events := encoding.Markup(tree.MustParse(tc.doc))
+		for _, w := range []struct {
+			name string
+			wrap func(Chunkable) Chunkable
+			want bool
+		}{{"EL", ELFromQL, tc.wantEL}, {"AL", ALFromQL, tc.wantAL}} {
+			for _, poison := range []bool{false, true} {
+				inner := &mockQL{sel: sel, poisonAfterClose: poison}
+				if got := runWrapper(w.wrap(inner), events); got != w.want {
+					t.Errorf("%s(%s, sel=%v, poison=%v) = %v, want %v", w.name, tc.doc, tc.sel, poison, got, w.want)
+				}
+				if inner.callsAfterClose != 0 {
+					t.Errorf("%s(%s): %d Accepting calls after Close events (unspecified there)", w.name, tc.doc, inner.callsAfterClose)
+				}
 			}
-			events := encoding.Markup(tree.MustParse(tc.doc))
-			inner := &mockQL{sel: sel, poisonAfterClose: poison}
-			if got := runWrapper(ELFromQL(inner), events); got != tc.wantEL {
-				t.Errorf("EL(%s, sel=%v, poison=%v) = %v, want %v", tc.doc, tc.sel, poison, got, tc.wantEL)
-			}
-			if inner.callsAfterClose != 0 {
-				t.Errorf("EL(%s): %d Accepting calls after Close events (unspecified there)", tc.doc, inner.callsAfterClose)
-			}
-			inner = &mockQL{sel: sel, poisonAfterClose: poison}
-			if got := runWrapper(ALFromQL(inner), events); got != tc.wantAL {
-				t.Errorf("AL(%s, sel=%v, poison=%v) = %v, want %v", tc.doc, tc.sel, poison, got, tc.wantAL)
-			}
-			if inner.callsAfterClose != 0 {
-				t.Errorf("AL(%s): %d Accepting calls after Close events (unspecified there)", tc.doc, inner.callsAfterClose)
+			want := wrapperHits(w.wrap(&mockQL{sel: sel}), events)
+			for _, size := range batchSizes {
+				inner := &mockQL{sel: sel, poisonAfterClose: true}
+				if got := runWrapperBatched(w.wrap(inner), events, size); got != w.want {
+					t.Errorf("%s(%s, sel=%v) by StepBatch(%d) = %v, want %v", w.name, tc.doc, tc.sel, size, got, w.want)
+				}
+				if inner.calls != 0 {
+					t.Errorf("%s(%s): StepBatch(%d) made %d Accepting calls", w.name, tc.doc, size, inner.calls)
+				}
+				if got := wrapperHitsBatched(w.wrap(&mockQL{sel: sel}), events, size); !slices.Equal(got, want) {
+					t.Errorf("%s(%s, sel=%v) SelectBatch(%d) hits %v, Step hits %v", w.name, tc.doc, tc.sel, size, got, want)
+				}
 			}
 		}
 	}
@@ -113,92 +202,98 @@ func TestELALWrapperVerdicts(t *testing.T) {
 // the empty stream encodes no tree).
 func TestELALWrapperEmptyStream(t *testing.T) {
 	inner := &mockQL{sel: map[string]bool{"a": true}}
-	if runWrapper(ELFromQL(inner), nil) {
+	if runWrapper(ELFromQL(inner), nil) || runWrapperBatched(ELFromQL(inner), nil, 1) {
 		t.Error("EL accepts the empty stream")
 	}
-	if runWrapper(ALFromQL(inner), nil) {
+	if runWrapper(ALFromQL(inner), nil) || runWrapperBatched(ALFromQL(inner), nil, 1) {
 		t.Error("AL accepts the empty stream")
 	}
+	// An empty batch starts no tree either.
+	al := ALFromQL(inner)
+	al.Reset()
+	al.StepBatch(nil)
+	if al.Accepting() {
+		t.Error("AL accepts after an empty batch")
+	}
+}
+
+// stepModes feed a wrapper one event at a time: by Step, and by StepBatch
+// over one-event batches.
+var stepModes = []struct {
+	name string
+	step func(w Chunkable, e encoding.Event)
+}{
+	{"Step", func(w Chunkable, e encoding.Event) { w.Step(e) }},
+	{"StepBatch", func(w Chunkable, e encoding.Event) {
+		w.StepBatch(encoding.CodeEvents(alphabet.NewCoder(w.CodeAlphabet()), []encoding.Event{e}, nil))
+	}},
 }
 
 // TestELWrapperFreezesAfterMatch: once a selected leaf is seen, the EL
 // wrapper's verdict is frozen — later events (including rejected leaves)
 // cannot unmatch it, and the inner machine is no longer stepped.
 func TestELWrapperFreezesAfterMatch(t *testing.T) {
-	inner := &mockQL{sel: map[string]bool{"b": true}}
-	w := ELFromQL(inner)
-	events := encoding.Markup(tree.MustParse("a(b,c,c,c)"))
-	w.Reset()
-	for i, e := range events {
-		w.Step(e)
-		matchedYet := i >= 2 // b's Close is event index 2
-		if w.Accepting() != matchedYet {
-			t.Fatalf("event %d: Accepting = %v, want %v", i, w.Accepting(), matchedYet)
+	for _, mode := range stepModes {
+		inner := &mockQL{sel: map[string]bool{"b": true}}
+		w := ELFromQL(inner)
+		events := encoding.Markup(tree.MustParse("a(b,c,c,c)"))
+		w.Reset()
+		for i, e := range events {
+			mode.step(w, e)
+			matchedYet := i >= 2 // b's Close is event index 2
+			if w.Accepting() != matchedYet {
+				t.Fatalf("%s, event %d: Accepting = %v, want %v", mode.name, i, w.Accepting(), matchedYet)
+			}
 		}
-	}
-	// The wrapper froze at b's Close: the inner machine never saw the
-	// remaining events, so its stack still holds [a b].
-	if len(inner.stack) != 2 {
-		t.Fatalf("inner stepped after the match: stack %v", inner.stack)
-	}
-	if inner.callsAfterClose != 0 {
-		t.Fatalf("inner consulted after Close: %d", inner.callsAfterClose)
+		// The wrapper froze at b's Close: the inner machine never saw the
+		// remaining events, so its stack still holds [a b].
+		if len(inner.stack) != 2 {
+			t.Fatalf("%s: inner stepped after the match: stack %v", mode.name, inner.stack)
+		}
+		if inner.callsAfterClose != 0 {
+			t.Fatalf("%s: inner consulted after Close: %d", mode.name, inner.callsAfterClose)
+		}
 	}
 }
 
 // TestALWrapperFailsOnFirstRejectedLeaf: the AL wrapper latches failure at
 // the first leaf read in a rejecting state.
 func TestALWrapperFailsOnFirstRejectedLeaf(t *testing.T) {
-	inner := &mockQL{sel: map[string]bool{"b": true}}
-	w := ALFromQL(inner)
-	events := encoding.Markup(tree.MustParse("a(b,c,b)"))
-	w.Reset()
-	failedAt := -1
-	for i, e := range events {
-		w.Step(e)
-		if failedAt < 0 && !w.Accepting() && i > 0 {
-			failedAt = i
+	for _, mode := range stepModes {
+		inner := &mockQL{sel: map[string]bool{"b": true}}
+		w := ALFromQL(inner)
+		events := encoding.Markup(tree.MustParse("a(b,c,b)"))
+		w.Reset()
+		failedAt := -1
+		for i, e := range events {
+			mode.step(w, e)
+			if failedAt < 0 && !w.Accepting() && i > 0 {
+				failedAt = i
+			}
 		}
-	}
-	if failedAt != 4 { // c's Close is event index 4: the first rejected leaf
-		t.Fatalf("failure latched at event %d, want 4", failedAt)
-	}
-	if w.Accepting() {
-		t.Fatal("AL accepted despite a rejected leaf")
+		if failedAt != 4 { // c's Close is event index 4: the first rejected leaf
+			t.Fatalf("%s: failure latched at event %d, want 4", mode.name, failedAt)
+		}
+		if w.Accepting() {
+			t.Fatalf("%s: AL accepted despite a rejected leaf", mode.name)
+		}
 	}
 }
 
-// TestWrapperVariantSelection: the wrappers upgrade to the chunk-parallel
-// variants exactly when the inner machine is Chunkable.
+// TestWrapperVariantSelection: the wrappers over a chunkable inner machine
+// are the chunkable EL and AL machines.
 func TestWrapperVariantSelection(t *testing.T) {
-	mock := &mockQL{sel: map[string]bool{}}
-	if _, ok := ELFromQL(mock).(*elWrapper); !ok {
-		t.Errorf("EL over a plain evaluator: got %T, want *elWrapper", ELFromQL(mock))
-	}
-	if _, ok := ALFromQL(mock).(*alWrapper); !ok {
-		t.Errorf("AL over a plain evaluator: got %T, want *alWrapper", ALFromQL(mock))
-	}
-	if _, ok := ELFromQL(mock).(Chunkable); ok {
-		t.Error("EL over a plain evaluator must not claim chunkability")
-	}
-
 	tag := NewTagDFA(alphabet.Letters("ab"), 1, 0)
-	chunkInner := tag.Evaluator()
-	if _, ok := chunkInner.(Chunkable); !ok {
+	chunkInner, ok := tag.Evaluator().(Chunkable)
+	if !ok {
 		t.Fatal("tag evaluator is not chunkable")
 	}
 	el := ELFromQL(chunkInner)
 	if _, ok := el.(*chunkableEL); !ok {
 		t.Errorf("EL over a chunkable inner: got %T, want *chunkableEL", el)
 	}
-	if _, ok := el.(Chunkable); !ok {
-		t.Error("chunkable EL wrapper does not implement Chunkable")
-	}
 	al := ALFromQL(chunkInner)
 	if _, ok := al.(*chunkableAL); !ok {
 		t.Errorf("AL over a chunkable inner: got %T, want *chunkableAL", al)
-	}
-	if _, ok := al.(Chunkable); !ok {
-		t.Error("chunkable AL wrapper does not implement Chunkable")
 	}
 }

@@ -22,29 +22,20 @@ func TestInstanceStepsAsParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	anEmpty := classify.Analyze(all.Complement())
-	an3c := classify.Analyze(paperfigs.Fig3c())
 	machines := codedMachines(t)
 	for _, m := range []struct {
 		name  string
 		blind bool
 		build func(*classify.Analysis) (*StacklessEvaluator, error)
-		an    *classify.Analysis
-		wrap  func(Evaluator) Evaluator // the chunkable EL/AL wrappers; nil: none
 	}{
-		{"stackless/empty", false, StacklessQL, anEmpty, nil},
-		{"stackless/empty-term", true, BlindStacklessQL, anEmpty, nil},
-		{"stackless/el", false, StacklessQL, an3c, ELFromQL},
-		{"stackless/al-term", true, BlindStacklessQL, an3c, ALFromQL},
+		{"stackless/empty", false, StacklessQL},
+		{"stackless/empty-term", true, BlindStacklessQL},
 	} {
-		sl, err := m.build(m.an)
+		sl, err := m.build(anEmpty)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		var ev Evaluator = sl
-		if m.wrap != nil {
-			ev = m.wrap(sl)
-		}
-		machines = append(machines, codedMachine{name: m.name, blind: m.blind, fresh: func() Evaluator { return ev }})
+		machines = append(machines, codedMachine{name: m.name, blind: m.blind, fresh: func() Evaluator { return sl }})
 	}
 	for _, m := range machines {
 		rng := rand.New(rand.NewSource(53))

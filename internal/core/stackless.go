@@ -539,10 +539,13 @@ func (ev *StacklessEvaluator) SelectBatch(batch []encoding.CodedEvent, hits []in
 	return hits
 }
 
-// SimulateSegmentCoded implements CodedSegmentKernel: SimulateSegment with
-// the label resolution hoisted out. The unknown row of cBack reproduces the
-// string kernel's lazy close resolution — popping runs survive an unknown
-// label, non-popping runs die — and an unknown open kills every run at once.
+// SimulateSegmentCoded implements CodedSegmentKernel: all control states
+// advance in lockstep over a coded segment, each with its own record stack
+// (pushes depend on the tracked state). Within a segment the depth never
+// drops below the entry, so every pop involves a record pushed inside the
+// segment and relative depths resolve every comparison. The unknown row of cBack reproduces Step's lazy close resolution —
+// popping runs survive an unknown label, non-popping runs die — and an
+// unknown open kills every run at once.
 //
 //treelint:partial flushes the segment-batched load/compare counters into obs at segment end
 func (ev *StacklessEvaluator) SimulateSegmentCoded(seg []encoding.CodedEvent, cands *CandSet) []SegmentExit {

@@ -310,10 +310,10 @@ func (ev *tagEvaluator) SelectBatch(batch []encoding.CodedEvent, hits []int32) [
 	return hits
 }
 
-// SimulateSegmentCoded implements CodedSegmentKernel: the lockstep all-states
-// pass of SimulateSegment over a coded segment. Unknown labels drive every
-// run into the dead row (never accepting), which the exit mapping reports as
-// the poisoned exit -1 — identical to the string kernel's early break.
+// SimulateSegmentCoded implements CodedSegmentKernel: one pass moving all
+// states in lockstep over a coded segment. Unknown labels drive every run
+// into the dead row (never accepting), which the exit mapping reports as
+// the poisoned exit -1 — as Step poisons the run from any state.
 //
 //treelint:plain
 func (ev *tagEvaluator) SimulateSegmentCoded(seg []encoding.CodedEvent, cands *CandSet) []SegmentExit {

@@ -10,6 +10,7 @@ import (
 	"stackless/internal/encoding"
 	"stackless/internal/paperfigs"
 	"stackless/internal/rex"
+	"stackless/internal/stackeval"
 )
 
 // FuzzCodedVsString fuzzes the document bytes (brace notation) and checks
@@ -41,7 +42,7 @@ func FuzzCodedVsString(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if !core.CodedCapable(ev) {
+		if _, ok := ev.(core.BatchEvaluator); !ok {
 			f.Fatalf("%s does not compile", name)
 		}
 		machines = append(machines, machine{name, func() core.Evaluator { return ev }})
@@ -51,6 +52,12 @@ func FuzzCodedVsString(f *testing.F) {
 		f.Fatal(err)
 	}
 	add("blind stackless .*a.*b", stackless3c, nil)
+	add("EL of blind stackless .*a.*b", core.ELFromQL(stackless3c), nil)
+	add("AL of blind stackless .*a.*b", core.ALFromQL(stackless3c), nil)
+	// .*ab is not HAR: its EL and AL run on the pushdown.
+	stackAB := stackeval.QL(rex.MustCompile(".*ab", paperfigs.GammaABC()))
+	add("EL of stack .*ab", core.ELFromQL(stackAB), nil)
+	add("AL of stack .*ab", core.ALFromQL(stackAB), nil)
 	tagA, err := core.BlindRegisterlessQL(anA)
 	if err != nil {
 		f.Fatal(err)

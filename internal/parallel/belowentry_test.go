@@ -116,7 +116,9 @@ func TestBelowEntryEveryPositionCuts(t *testing.T) {
 	for di, events := range belowEntryDocs() {
 		seq := example26Chunkable(t)
 		var want []core.Match
-		runSequential(seq, events, func(mt core.Match) { want = append(want, mt) })
+		if _, err := core.Select(seq, encoding.NewSliceSource(events), func(mt core.Match) { want = append(want, mt) }); err != nil {
+			t.Fatal(err)
+		}
 
 		par := example26Chunkable(t)
 		cuts := make([]int, 0, len(events)-1)

@@ -109,13 +109,12 @@ func cutPieces(events []encoding.Event, lo, hi int, policy core.CutPolicy) []pie
 
 // summarize simulates every segment piece of a chunk on a forked machine,
 // filling exits, opens/delta and (when wantMatches) the candidate sets.
-// When the stream has been coded (coded non-nil, index-aligned with events)
-// and the machine has a coded kernel, segments run through it — the hot
-// path of the compiled pipeline under parallel evaluation.
+// Machines with a coded kernel simulate over the coded stream (coded,
+// index-aligned with events) — the hot path of the compiled pipeline under
+// parallel evaluation; the others step the events one control state at a
+// time.
 func summarize(m core.Chunkable, events []encoding.Event, coded []encoding.CodedEvent, pieces []piece, wantMatches bool) {
-	ckernel, hasCoded := m.(core.CodedSegmentKernel)
-	hasCoded = hasCoded && coded != nil
-	kernel, hasKernel := m.(core.SegmentKernel)
+	kernel, hasKernel := m.(core.CodedSegmentKernel)
 	for pi := range pieces {
 		pc := &pieces[pi]
 		if !pc.seg {
@@ -134,40 +133,19 @@ func summarize(m core.Chunkable, events []encoding.Event, coded []encoding.Coded
 		if wantMatches {
 			cands = core.NewCandSet(m.ChunkStates())
 		}
-		switch {
-		case hasCoded:
-			pc.exits = ckernel.SimulateSegmentCoded(coded[pc.lo:pc.hi], cands)
-		case hasKernel:
-			pc.exits = kernel.SimulateSegment(seg, cands)
-		default:
+		if hasKernel {
+			pc.exits = kernel.SimulateSegmentCoded(coded[pc.lo:pc.hi], cands)
+		} else {
 			pc.exits = core.SimulateSegmentGeneric(m, seg, cands)
 		}
 		pc.cands = cands
 	}
 }
 
-// codeStream lowers the whole buffered stream once when the machine runs
-// the compiled pipeline end to end (batch stepping and a coded segment
-// kernel); nil otherwise. One coder, so hashing is per distinct label.
+// codeStream lowers the whole buffered stream once, with one coder, so
+// hashing is per distinct label.
 func codeStream(m core.Chunkable, events []encoding.Event) []encoding.CodedEvent {
-	be, ok := m.(core.BatchEvaluator)
-	if !ok {
-		return nil
-	}
-	if _, ok := m.(core.CodedSegmentKernel); !ok {
-		return nil
-	}
-	return encoding.CodeEvents(alphabet.NewCoder(be.CodeAlphabet()), events, make([]encoding.CodedEvent, 0, len(events)))
-}
-
-// Coded reports whether the machine takes the compiled pipeline here: used
-// by the public API's Stats.Pipeline.
-func Coded(m core.Chunkable) bool {
-	if _, ok := m.(core.BatchEvaluator); !ok {
-		return false
-	}
-	_, ok := m.(core.CodedSegmentKernel)
-	return ok
+	return encoding.CodeEvents(alphabet.NewCoder(m.CodeAlphabet()), events, make([]encoding.CodedEvent, 0, len(events)))
 }
 
 // MaxDepth returns the maximum nesting depth reached over the event
@@ -206,31 +184,11 @@ func SpeculationViable(events []encoding.Event, chunks int) bool {
 	return 4*MaxDepth(events)*chunks <= len(events)
 }
 
-// runSequential is the fallback when chunking cannot help: one pass on the
-// caller goroutine, identical to core.Select over a slice source.
-//
-//treelint:plain
-func runSequential(m core.Chunkable, events []encoding.Event, fn func(core.Match)) {
-	m.Reset()
-	pos, depth := -1, 0
-	for _, e := range events {
-		if e.Kind == encoding.Open {
-			pos++
-			depth++
-		} else {
-			depth--
-		}
-		m.Step(e)
-		if fn != nil && e.Kind == encoding.Open && m.Accepting() {
-			fn(core.Match{Pos: pos, Depth: depth, Label: e.Label})
-		}
-	}
-}
-
-// runSequentialCoded is runSequential through the compiled pipeline: the
-// already-coded stream is batch-stepped as a whole, and the events are
-// walked (for positions, depths and labels) only when there are hits to
-// report.
+// runSequentialCoded is the fallback when chunking cannot help: one pass on
+// the caller goroutine through the compiled pipeline, identical to
+// core.SelectCoded over a slice source. The coded stream is batch-stepped
+// as a whole, and the events are walked (for positions, depths and labels)
+// only when there are hits to report.
 //
 //treelint:plain
 func runSequentialCoded(be core.BatchEvaluator, events []encoding.Event, coded []encoding.CodedEvent, fn func(core.Match)) {
@@ -297,19 +255,18 @@ func run(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.
 			}
 		}
 	}
-	coded := codeStream(m, events)
 	if policy == core.CutAll || len(cuts) == 0 {
 		// CutAll: every event would be a boundary, so the join would replay
 		// the whole stream anyway; skip the summaries.
 		if c != nil {
 			c.SeqFallbacks.Inc()
 		}
-		if coded != nil {
-			runSequentialCoded(m.(core.BatchEvaluator), events, coded, fn)
-			return
-		}
-		runSequential(m, events, fn)
+		runSequentialCoded(m, events, codeStream(m, events), fn)
 		return
+	}
+	var coded []encoding.CodedEvent
+	if _, ok := m.(core.CodedSegmentKernel); ok {
+		coded = codeStream(m, events)
 	}
 	bounds := make([]int, 0, len(cuts)+2)
 	bounds = append(bounds, 0)

@@ -35,9 +35,9 @@ func TestParallelCodedUnknownLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	machines := []struct {
-		name  string
-		fresh func() core.Chunkable
-		coded bool
+		name   string
+		fresh  func() core.Chunkable
+		kernel bool // has a coded all-states segment kernel
 	}{
 		{"tagdfa", func() core.Chunkable { return tagM.Evaluator().(core.Chunkable) }, true},
 		{"stackless", func() core.Chunkable { return stM.Fork() }, true},
@@ -47,8 +47,8 @@ func TestParallelCodedUnknownLabels(t *testing.T) {
 	}
 	for _, mc := range machines {
 		m := mc.fresh()
-		if got := parallel.Coded(m); got != mc.coded {
-			t.Fatalf("%s: parallel.Coded = %v, want %v", mc.name, got, mc.coded)
+		if _, got := m.(core.CodedSegmentKernel); got != mc.kernel {
+			t.Fatalf("%s: coded segment kernel = %v, want %v", mc.name, got, mc.kernel)
 		}
 		if mc.name == "dra/example26-cutbelowentry" {
 			if pol := m.Cut(); pol != core.CutBelowEntry {

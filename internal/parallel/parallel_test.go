@@ -296,11 +296,11 @@ func TestParallelRecognizeELAL(t *testing.T) {
 	} {
 		expr := tc.expr
 		an := classify.Analyze(rex.MustCompile(expr, tc.alph))
-		var inner core.Evaluator
+		var inner core.Chunkable
 		if ev, err := core.StacklessQL(an); err == nil {
 			inner = ev
 		} else if tag, rerr := core.RegisterlessQL(an); rerr == nil {
-			inner = tag.Evaluator()
+			inner = tag.Evaluator().(core.Chunkable)
 		} else {
 			t.Fatalf("%s: neither stackless (%v) nor registerless (%v)", expr, err, rerr)
 		}
@@ -309,12 +309,8 @@ func TestParallelRecognizeELAL(t *testing.T) {
 	}
 }
 
-func diffRecognize(t *testing.T, p *parallel.Pool, name string, wrapped, oracle core.Evaluator, labels string) {
+func diffRecognize(t *testing.T, p *parallel.Pool, name string, m core.Chunkable, oracle core.Evaluator, labels string) {
 	t.Helper()
-	m, ok := wrapped.(core.Chunkable)
-	if !ok {
-		t.Fatalf("%s: wrapper over a chunkable inner is not chunkable", name)
-	}
 	for di, events := range corpus(labels) {
 		want, err := core.Recognize(oracle, encoding.NewSliceSource(events))
 		if err != nil {
@@ -326,6 +322,9 @@ func diffRecognize(t *testing.T, p *parallel.Pool, name string, wrapped, oracle 
 		}
 		if seq != want {
 			t.Fatalf("%s doc %d: sequential wrapper %v, oracle %v", name, di, seq, want)
+		}
+		if coded, err := core.RecognizeCoded(m, encoding.NewSliceSource(events)); err != nil || coded != want {
+			t.Fatalf("%s doc %d: coded wrapper (%v, %v), oracle %v", name, di, coded, err, want)
 		}
 		for _, w := range workerCounts {
 			if got := parallel.Recognize(p, m, events, w); got != want {
@@ -340,7 +339,7 @@ func diffRecognize(t *testing.T, p *parallel.Pool, name string, wrapped, oracle 
 	}
 }
 
-// TestParallelALDeadInnerOnFinalClose pins the alWrapper edge case that
+// TestParallelALDeadInnerOnFinalClose pins the AL wrapper edge case that
 // forced the explicit dead-inner control states: a blind stackless inner
 // that poisons on the very last closing tag (back-table miss) with the
 // previous open accepted leaves AL accepting — collapsing the dead inner
@@ -357,11 +356,7 @@ func TestParallelALDeadInnerOnFinalClose(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		al := core.ALFromQL(ev)
-		m, ok := al.(core.Chunkable)
-		if !ok {
-			t.Fatal("AL over blind stackless inner is not chunkable")
-		}
+		m := core.ALFromQL(ev)
 		oracle := stackeval.AL(an.D)
 		events := encoding.Term(gen.RandomTree(rng, []string{"a", "b"}, 1+rng.Intn(20)))
 		want, err := core.Recognize(oracle, encoding.NewSliceSource(events))
@@ -374,6 +369,9 @@ func TestParallelALDeadInnerOnFinalClose(t *testing.T) {
 		}
 		if seq != want {
 			t.Fatalf("machine %d: sequential AL wrapper %v, oracle %v", i, seq, want)
+		}
+		if coded, err := core.RecognizeCoded(m, encoding.NewSliceSource(events)); err != nil || coded != want {
+			t.Fatalf("machine %d: coded AL wrapper (%v, %v), oracle %v", i, coded, err, want)
 		}
 		checked++
 		for _, w := range workerCounts {

@@ -65,11 +65,11 @@ type MultiStats struct {
 	// Workers used for chunk-parallel evaluation (1 = sequential pass);
 	// Options.Workers clamped to GOMAXPROCS, as in Stats.
 	Workers int
-	// Pipeline actually used: PipelineCoded when every query's machine ran
-	// the compiled symbol-coded pipeline, PipelineString when at least one
-	// query took the per-event path. The sequential coded fast path steps
-	// each machine in whole batches and requires all machines to compile;
-	// instrumented runs stay on it, flushing counters per batch.
+	// Pipeline actually used: PipelineString when the sequential per-event
+	// earliest pass ran (Options.Earliest with Workers 1), PipelineCoded
+	// otherwise — every query's machine compiles, and the sequential pass
+	// steps each machine (or product group) in whole coded batches,
+	// instrumented runs included.
 	Pipeline Pipeline
 	// ProductGroups is the number of product automata the query set was
 	// merged into (0 when every query ran loose — singletons, incompatible
@@ -107,6 +107,7 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 	stats := MultiStats{
 		Strategies: make([]Strategy, len(m.queries)),
 		Matches:    make([]int, len(m.queries)),
+		Pipeline:   PipelineCoded,
 	}
 	evs := make([]core.Evaluator, len(m.queries))
 	for i, q := range m.queries {
@@ -128,10 +129,9 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 		return m.selectParallel(src, opt, evs, plan, stats, fn)
 	}
 	stats.Workers = 1
-	if allCoded(evs) && !opt.Earliest {
+	if !opt.Earliest {
 		plan := m.plan(evs, c)
 		stats.ProductGroups = len(plan.Groups)
-		stats.Pipeline = PipelineCoded
 		return m.selectBatched(src, evs, plan, c, stats, fn)
 	}
 	stats.Pipeline = PipelineString
@@ -163,6 +163,7 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 	if c != nil {
 		defer func() {
 			c.Events.Add(int64(stats.Events) * int64(len(evs)))
+			flushMachines(evs)
 		}()
 	}
 	for {
@@ -211,14 +212,12 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 	}
 }
 
-// allCoded reports whether every machine supports the compiled pipeline.
-func allCoded(evs []core.Evaluator) bool {
+// flushMachines drains the counters the machines batch in plain fields
+// (register loads and compares, stack pool reuse) into their collector.
+func flushMachines(evs []core.Evaluator) {
 	for _, ev := range evs {
-		if !core.CodedCapable(ev) {
-			return false
-		}
+		core.FlushEvObs(ev)
 	}
-	return true
 }
 
 // plan groups the evaluators into product groups (internal/product) through
@@ -270,6 +269,7 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 		// member.
 		defer func() {
 			c.Events.Add(int64(stats.Events) * int64(n))
+			flushMachines(evs)
 		}()
 	}
 	batch := make([]encoding.Event, 0, encoding.DefaultBatch)
@@ -378,17 +378,6 @@ func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core
 		return stats, err
 	}
 	stats.Workers = opt.Workers
-	stats.Pipeline = PipelineCoded
-	for _, i := range plan.Loose {
-		ev := evs[i]
-		if cm, ok := ev.(core.Chunkable); ok {
-			if !parallel.Coded(cm) {
-				stats.Pipeline = PipelineString
-			}
-		} else if !core.CodedCapable(ev) {
-			stats.Pipeline = PipelineString
-		}
-	}
 	perQuery := make([][]Match, len(evs))
 	var wg sync.WaitGroup
 	for gi := range plan.Groups {

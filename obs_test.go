@@ -249,6 +249,54 @@ func TestObsMultiQueryCollector(t *testing.T) {
 	}
 }
 
+// TestObsMultiQueryMachineCounters: the counters the machines batch in
+// plain fields (register loads and compares, stack pool reuse) reach the
+// collector of a MultiQuery run as they reach a Query run's — a
+// one-member MultiQuery reports what Query reports, sequential and
+// earliest, at the stackless and stack tiers.
+func TestObsMultiQueryMachineCounters(t *testing.T) {
+	const doc = "<a><b><a><b/></a></b><c><a><b/></a></c></a>"
+	for _, tc := range []struct {
+		regex string
+		tier  Strategy
+	}{{".*a.*b", Stackless}, {".*ab", Stack}} {
+		q := MustCompileRegex(tc.regex, abc)
+		mq, err := NewMultiQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, earliest := range []bool{false, true} {
+			qc, mc := NewCollector(), NewCollector()
+			st, err := q.SelectXML(strings.NewReader(doc), Options{Collector: qc, Earliest: earliest}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Strategy != tc.tier {
+				t.Fatalf("%s: strategy %v, want %v", tc.regex, st.Strategy, tc.tier)
+			}
+			if _, err := mq.SelectXML(strings.NewReader(doc), Options{Collector: mc, Earliest: earliest}, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, counter := range []struct {
+				name   string
+				q, mq  int64
+				active bool
+			}{
+				{"register_loads", qc.RegisterLoads.Load(), mc.RegisterLoads.Load(), tc.tier == Stackless},
+				{"register_compares", qc.RegisterCompares.Load(), mc.RegisterCompares.Load(), tc.tier == Stackless},
+				{"stack_pool_reuse", qc.StackPoolReuse.Load(), mc.StackPoolReuse.Load(), tc.tier == Stack},
+			} {
+				if counter.active && counter.q == 0 {
+					t.Fatalf("%s earliest=%v: Query reports no %s", tc.regex, earliest, counter.name)
+				}
+				if counter.mq != counter.q {
+					t.Errorf("%s earliest=%v: MultiQuery %s = %d, Query %d", tc.regex, earliest, counter.name, counter.mq, counter.q)
+				}
+			}
+		}
+	}
+}
+
 // TestObsCollectorSnapshotPublic exercises the public aliases: a collector
 // accumulated through Options surfaces its numbers via Snapshot and the
 // expvar-compatible String.

@@ -83,10 +83,11 @@ type Stats struct {
 	// count — Options.Workers clamped to GOMAXPROCS — for a chunk-parallel
 	// one.
 	Workers int
-	// Pipeline actually used: PipelineCoded when the chosen machine
-	// compiled to the symbol-coded batch pipeline (dense transition
-	// tables, see DESIGN.md §11), PipelineString for the per-event
-	// label-resolving path.
+	// Pipeline actually used: PipelineString when the sequential
+	// per-event earliest pass ran (Options.Earliest with Workers 1),
+	// PipelineCoded otherwise — every machine a Query runs compiles to the
+	// symbol-coded batch pipeline (dense transition tables, see DESIGN.md
+	// §11).
 	Pipeline Pipeline
 	// Chunks the stream was split into: 1 for any sequential pass,
 	// including parallel requests that degraded (see Fallback).
@@ -148,8 +149,10 @@ type Options struct {
 	// earliest-decision flags stop stepping at the earliest event proving
 	// no further match is possible. The match set, order and errors are
 	// identical to the default run; the trade is throughput — the
-	// sequential earliest driver runs the per-event string path, not the
-	// batched coded one. Stats.Earliest reports which mode actually ran.
+	// sequential earliest driver steps one event at a time through the
+	// string path (Stats.Pipeline reads PipelineString), because a
+	// one-event coded batch costs more than a single Step (DESIGN.md §14).
+	// Stats.Earliest reports which mode actually ran.
 	// With Workers > 1 the chunk-parallel engine is used unchanged
 	// (matches still arrive in document order at the join) and the run
 	// reports the safe approximation.
@@ -210,7 +213,7 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 	if err != nil {
 		return Stats{Strategy: st}, err
 	}
-	stats := Stats{Strategy: st, Workers: 1, Chunks: 1}
+	stats := Stats{Strategy: st, Workers: 1, Chunks: 1, Pipeline: PipelineCoded}
 	report := func(m core.Match) {
 		stats.Matches++
 		if fn != nil {
@@ -231,7 +234,7 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 		parallel.SelectObs(parallel.Shared(), cm, events, opt.Workers, c, report)
 		return stats, nil
 	}
-	sequentialStats(ev, opt, &stats)
+	sequentialStats(opt, &stats)
 	if opt.Earliest {
 		// Earliest emission runs the per-event driver: matches emit at
 		// their deciding Open, never at a batch boundary, at the cost of
@@ -246,13 +249,9 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 }
 
 // readChunked buffers src for a chunk-parallel run of cm and records in
-// stats how the run splits: pipeline, workers, cut policy, chunk count and
-// any sequential degradation (Stats.Fallback).
+// stats how the run splits: workers, cut policy, chunk count and any
+// sequential degradation (Stats.Fallback).
 func readChunked(src encoding.Source, cm core.Chunkable, opt Options, stats *Stats) ([]encoding.Event, error) {
-	stats.Pipeline = PipelineString
-	if parallel.Coded(cm) {
-		stats.Pipeline = PipelineCoded
-	}
 	events, err := encoding.ReadAll(src)
 	stats.Events = len(events)
 	if err != nil {
@@ -281,13 +280,9 @@ func readChunked(src encoding.Source, cm core.Chunkable, opt Options, stats *Sta
 	return events, nil
 }
 
-// sequentialStats records in stats a sequential run of ev: its pipeline, and
-// the "strategy" fallback when Workers > 1 asked for chunks ev cannot cut.
-func sequentialStats(ev core.Evaluator, opt Options, stats *Stats) {
-	stats.Pipeline = PipelineString
-	if core.CodedCapable(ev) {
-		stats.Pipeline = PipelineCoded
-	}
+// sequentialStats records in stats the "strategy" fallback of a sequential
+// run when Workers > 1 asked for chunks its machine cannot cut.
+func sequentialStats(opt Options, stats *Stats) {
 	if opt.Workers > 1 {
 		stats.Fallback = "strategy"
 		if c := opt.Collector; c != nil {
@@ -327,7 +322,7 @@ func (q *Query) recognize(src encoding.Source, enc Encoding, sem semantics, opt 
 	if err != nil {
 		return false, Stats{Strategy: st}, err
 	}
-	stats := Stats{Strategy: st, Workers: 1, Chunks: 1}
+	stats := Stats{Strategy: st, Workers: 1, Chunks: 1, Pipeline: PipelineCoded}
 	if cm, ok := ev.(core.Chunkable); ok && opt.Workers > 1 {
 		events, err := readChunked(src, cm, opt, &stats)
 		if err != nil {
@@ -335,7 +330,7 @@ func (q *Query) recognize(src encoding.Source, enc Encoding, sem semantics, opt 
 		}
 		return parallel.RecognizeObs(parallel.Shared(), cm, events, opt.Workers, opt.Collector), stats, nil
 	}
-	sequentialStats(ev, opt, &stats)
+	sequentialStats(opt, &stats)
 	ok, events, err := core.RecognizeCodedObs(ev, opt.Collector, src)
 	stats.Events = events
 	return ok, stats, err
