@@ -50,13 +50,14 @@ func main() {
 }
 
 // kernelNames are the batch-kernel methods the gate derives its target set
-// from — the step kernels, and the byte lexers' scan loops and the batch
-// fill that drives them; every implementation must be annotated plain or
-// partial.
+// from — the step kernels and the EL/AL wrappers' window loop behind them,
+// and the byte lexers' scan loops and the batch fill that drives them;
+// every implementation must be annotated plain or partial.
 var kernelNames = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,
 	"SimulateSegmentCoded": true,
+	"stepWindows":          true,
 	"lexXML":               true,
 	"lexTerm":              true,
 	"fillBatch":            true,

@@ -25,9 +25,9 @@ import (
 // The annotation itself is load-bearing, so it cannot silently vanish: a
 // function whose name ends in "Plain" (the kernel naming convention) must
 // carry the directive, and every implementation of the coded batch kernels
-// (StepBatch, SelectBatch, SimulateSegmentCoded, and the byte lexers' scan
-// loops lexXML and lexTerm and their batch fill fillBatch) must be
-// annotated either
+// (StepBatch, SelectBatch, SimulateSegmentCoded, the EL/AL wrappers' window
+// loop stepWindows, and the byte lexers' scan loops lexXML and lexTerm and
+// their batch fill fillBatch) must be annotated either
 // //treelint:plain or //treelint:partial with a reason — the
 // bounds-check-elimination gate (cmd/bcegate) derives its target set from
 // these annotations, so an unannotated kernel would silently escape it.
@@ -46,6 +46,7 @@ var batchKernels = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,
 	"SimulateSegmentCoded": true,
+	"stepWindows":          true,
 	"lexXML":               true,
 	"lexTerm":              true,
 	"fillBatch":            true,
