@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci test race vet fmt build lint lint-tables bce allocgate fuzz fuzz-smoke bench bench-coded bench-multi bench-earliest bench-stack bench-coded-gate bench-stack-gate clean
+.PHONY: ci test race vet fmt build lint lint-tables bce allocgate fuzz fuzz-smoke bench bench-coded bench-multi bench-earliest bench-stack bench-coded-gate bench-stack-gate bench-compare clean
 
 # timed runs one lint gate and prints its wall-clock seconds, so a gate
 # that quietly grows past the lint budget (90s total) is visible in every
@@ -122,10 +122,40 @@ bench-earliest:
 bench-stack:
 	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectStack -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson > BENCH_stack.json
 
+# base_compare runs the benchmarks matching $(1) at revision BASE and in
+# the working tree on the same host, instead of against a snapshot made on
+# another: the base is checked out in a temporary git worktree, the two
+# suites run alternately BENCHCOUNT times (so a drift in the host's speed
+# hits both sides alike), and benchjson compares the working tree's
+# per-metric medians against the base's at TOLERANCE.
+define base_compare
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
+	git worktree add --quiet --detach "$$tmp/base" "$(BASE)"; \
+	for i in $$(seq $(BENCHCOUNT)); do \
+		$(GO) -C "$$tmp/base" test -run '^$$' -bench '$(1)' -benchtime $(BENCHTIME) . >> "$$tmp/base.txt"; \
+		$(GO) test -run '^$$' -bench '$(1)' -benchtime $(BENCHTIME) . >> "$$tmp/head.txt"; \
+	done; \
+	$(GO) run ./cmd/benchjson < "$$tmp/base.txt" > "$$tmp/base.json"; \
+	$(GO) run ./cmd/benchjson -compare "$$tmp/base.json" -tolerance $(TOLERANCE) < "$$tmp/head.txt"
+endef
+
 # Gate twin of bench-stack: the pushdown paths must stay within TOLERANCE
 # of the committed snapshot (interleaved median-of-N, see bench-coded-gate).
+# With BASE=<rev> the comparison is against that revision on this host
+# (base_compare).
 bench-stack-gate:
+ifeq ($(BASE),)
 	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectStack -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson -compare BENCH_stack.json -tolerance $(TOLERANCE)
+else
+	$(call base_compare,SelectStack)
+endif
+
+# Same-host comparison of any benchmark suite against a base revision:
+# make bench-compare BASE=<rev> BENCH=<regex> (see base_compare).
+bench-compare:
+	@test -n "$(BASE)" && test -n "$(BENCH)" || { echo "usage: make bench-compare BASE=<rev> BENCH=<regex>" >&2; exit 2; }
+	$(call base_compare,$(BENCH))
 
 # Gate for the earliest work: the default (non-earliest) coded hot path
 # must stay within TOLERANCE (default 2%) ns/event of the committed
@@ -133,8 +163,14 @@ bench-stack-gate:
 # the whole suite BENCHCOUNT times in separate invocations — interleaving
 # decorrelates scheduler jitter, which hits back-to-back -count repeats
 # of one benchmark together — and benchjson takes the per-metric median.
+# The snapshot's absolute ns/event only holds on its own host; BASE=<rev>
+# compares against that revision on this host instead (base_compare).
 bench-coded-gate:
+ifeq ($(BASE),)
 	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench 'SelectCoded|RecognizeWrappers' -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson -compare BENCH_coded.json -tolerance $(TOLERANCE)
+else
+	$(call base_compare,SelectCoded|RecognizeWrappers)
+endif
 
 clean:
 	rm -f dralint classify streamq

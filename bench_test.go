@@ -658,11 +658,15 @@ func benchSelectWorkers(b *testing.B, q *Query, events []encoding.Event, workers
 		b.Fatal("strategy is not chunkable")
 	}
 	pool := parallel.Shared()
+	src := encoding.NewSliceSource(events)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		got := 0
 		if workers <= 1 {
-			if _, err := core.Select(ev, encoding.NewSliceSource(events), func(core.Match) { got++ }); err != nil {
+			// The sequential baseline is the coded pipeline the chunk
+			// engine runs per segment, over the same events.
+			src.Rewind()
+			if _, err := core.SelectCoded(ev, src, func(core.Match) { got++ }); err != nil {
 				b.Fatal(err)
 			}
 		} else {

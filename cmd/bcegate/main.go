@@ -51,8 +51,9 @@ func main() {
 
 // kernelNames are the batch-kernel methods the gate derives its target set
 // from — the step kernels and the EL/AL wrappers' window loop behind them,
-// and the byte lexers' scan loops and the batch fill that drives them;
-// every implementation must be annotated plain or partial.
+// the byte lexers' scan loops and the batch fill that drives them, and the
+// buffered stream's drain and per-machine recode; every implementation
+// must be annotated plain or partial.
 var kernelNames = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,
@@ -61,6 +62,8 @@ var kernelNames = map[string]bool{
 	"lexXML":               true,
 	"lexTerm":              true,
 	"fillBatch":            true,
+	"drain":                true,
+	"Recode":               true,
 }
 
 // foundRe matches the check_bce diagnostics the compiler emits.

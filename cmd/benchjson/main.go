@@ -40,8 +40,9 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Snapshot is the whole run: the goos/goarch/cpu/pkg context lines plus
-// all benchmark results in input order.
+// Snapshot is the whole run: the goos/goarch/cpu/pkg context lines and
+// the GOMAXPROCS the benchmarks ran at, plus all benchmark results in
+// input order.
 type Snapshot struct {
 	Context map[string]string `json:"context"`
 	Results []Result          `json:"results"`
@@ -123,7 +124,11 @@ func parseBench(r io.Reader, stderr io.Writer) (Snapshot, error) {
 			fmt.Fprintf(stderr, "benchjson: skipping malformed line: %s\n", line)
 			continue
 		}
-		r := Result{Name: trimProcSuffix(fields[0]), Runs: runs, Metrics: map[string]float64{}}
+		name, procs := trimProcSuffix(fields[0])
+		if _, ok := snap.Context["gomaxprocs"]; !ok {
+			snap.Context["gomaxprocs"] = procs
+		}
+		r := Result{Name: name, Runs: runs, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -227,14 +232,15 @@ func compare(base, fresh Snapshot, tolerance float64, out io.Writer) int {
 
 // trimProcSuffix drops the trailing -GOMAXPROCS that the bench runner
 // appends when GOMAXPROCS > 1, so snapshots from different machines keep
-// comparable names.
-func trimProcSuffix(name string) string {
+// comparable names, and returns it beside the name ("1" when absent) for
+// the snapshot's context.
+func trimProcSuffix(name string) (string, string) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, "1"
 	}
 	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+		return name, "1"
 	}
-	return name[:i]
+	return name[:i], name[i+1:]
 }

@@ -29,7 +29,7 @@ func TestParseBench(t *testing.T) {
 	if stderr.Len() != 0 {
 		t.Errorf("unexpected stderr: %s", stderr.String())
 	}
-	if snap.Context["goos"] != "linux" || snap.Context["cpu"] != "Canned CPU @ 2.00GHz" {
+	if snap.Context["goos"] != "linux" || snap.Context["cpu"] != "Canned CPU @ 2.00GHz" || snap.Context["gomaxprocs"] != "4" {
 		t.Errorf("context = %v", snap.Context)
 	}
 	if len(snap.Results) != 3 {
@@ -202,5 +202,17 @@ func TestRunCompareMode(t *testing.T) {
 	// Missing snapshot file: usage error, exit 2.
 	if code := run([]string{"-compare", filepath.Join(dir, "absent.json")}, strings.NewReader(benchText), &out, &stderr); code != 2 {
 		t.Fatalf("missing snapshot exited %d, want 2", code)
+	}
+}
+
+// TestParseBenchSingleProc: the bench runner appends no -N suffix at
+// GOMAXPROCS 1, which the snapshot's context records as "1".
+func TestParseBenchSingleProc(t *testing.T) {
+	snap, err := parseBench(strings.NewReader("BenchmarkX/workers=1   100   2000 ns/op\n"), &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Context["gomaxprocs"] != "1" || snap.Results[0].Name != "BenchmarkX/workers=1" {
+		t.Fatalf("context %v, results %+v", snap.Context, snap.Results)
 	}
 }

@@ -26,8 +26,9 @@ import (
 // function whose name ends in "Plain" (the kernel naming convention) must
 // carry the directive, and every implementation of the coded batch kernels
 // (StepBatch, SelectBatch, SimulateSegmentCoded, the EL/AL wrappers' window
-// loop stepWindows, and the byte lexers' scan loops lexXML and lexTerm and
-// their batch fill fillBatch) must be annotated either
+// loop stepWindows, the byte lexers' scan loops lexXML and lexTerm and
+// their batch fill fillBatch, and the buffered stream's drain and Recode)
+// must be annotated either
 // //treelint:plain or //treelint:partial with a reason — the
 // bounds-check-elimination gate (cmd/bcegate) derives its target set from
 // these annotations, so an unannotated kernel would silently escape it.
@@ -50,6 +51,8 @@ var batchKernels = map[string]bool{
 	"lexXML":               true,
 	"lexTerm":              true,
 	"fillBatch":            true,
+	"drain":                true,
+	"Recode":               true,
 }
 
 // clockFuncs are the time-package functions a plain kernel must not call;

@@ -34,7 +34,8 @@ const DefaultBatch = 4096
 
 // CodeEvents lowers events into coded form using coder, appending to buf
 // (pass nil to allocate). One-shot counterpart of Batcher for callers that
-// already buffered the whole stream (the chunk-parallel engine).
+// hold a batch of events (the sequential multi-query pass); a stream read
+// whole for the chunk-parallel engine is a Buffer, coded through a Remap.
 func CodeEvents(coder *alphabet.Coder, events []Event, buf []CodedEvent) []CodedEvent {
 	for _, e := range events {
 		buf = append(buf, CodedEvent{Sym: coder.Code(e.Label), Kind: e.Kind})

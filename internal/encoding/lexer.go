@@ -139,17 +139,33 @@ type lexSource interface {
 
 func (l *lexer) lexerOf() *lexer { return l }
 
-// init readies l to scan r with pooled state.
-func (l *lexer) init(r io.Reader, term bool) {
+// acquireLexState takes a lexState from the pool with an empty intern
+// table: only local id 0, the empty label.
+func acquireLexState() *lexState {
 	s := lexPool.Get().(*lexState)
 	s.names = append(s.names[:0], "")
 	s.remap = append(s.remap[:0], 0)
 	s.one = [256]int32{}
-	l.lexState, l.r, l.term = s, r, term
+	return s
 }
 
-// release returns the pooled state. Labels already delivered stay valid:
-// they are strings of their own, not views of the window.
+// put returns s to the pool. Labels already handed out stay valid: they
+// are strings of their own, not views of the window.
+func (s *lexState) put() {
+	if len(s.names) > maxPooledLabels {
+		s.names, s.index, s.remap = nil, make(map[string]int32), nil
+	}
+	clear(s.names)
+	clear(s.index)
+	lexPool.Put(s)
+}
+
+// init readies l to scan r with pooled state.
+func (l *lexer) init(r io.Reader, term bool) {
+	l.lexState, l.r, l.term = acquireLexState(), r, term
+}
+
+// release returns the pooled state.
 func (l *lexer) release() {
 	s := l.lexState
 	if s == nil {
@@ -159,12 +175,7 @@ func (l *lexer) release() {
 	if l.err == nil {
 		l.err = errReleased
 	}
-	if len(s.names) > maxPooledLabels {
-		s.names, s.index, s.remap = nil, make(map[string]int32), nil
-	}
-	clear(s.names)
-	clear(s.index)
-	lexPool.Put(s)
+	s.put()
 }
 
 var errReleased = errors.New("encoding: scanner read after its batcher was released")
@@ -201,15 +212,39 @@ func (s *lexState) id(label []byte) int32 {
 //
 //treelint:partial new labels: each distinct label is interned once per stream
 func (l *lexer) intern(label []byte) int32 {
-	id := int32(len(l.names))
 	name := string(label)
-	l.names = append(l.names, name)
-	if len(label) == 1 {
-		l.one[label[0]] = id
-	} else {
-		l.index[name] = id
-	}
+	id := l.add(name)
 	l.remap = append(l.remap, l.code(int(id), name))
+	return id
+}
+
+// add enters name into the intern table as the next local id.
+//
+//treelint:partial new labels: each distinct label is interned once per stream
+func (s *lexState) add(name string) int32 {
+	id := int32(len(s.names))
+	s.names = append(s.names, name)
+	if len(name) == 1 {
+		s.one[name[0]] = id
+	} else {
+		s.index[name] = id
+	}
+	return id
+}
+
+// lookup is id and intern for a label that is already a string, the
+// path of Sources other than the lexers: one load for a single-byte
+// label, one map lookup otherwise. The empty label is local id 0.
+func (s *lexState) lookup(label string) int32 {
+	var id int32
+	if len(label) == 1 {
+		id = s.one[label[0]]
+	} else {
+		id = s.index[label]
+	}
+	if id == 0 && label != "" {
+		id = s.add(label)
+	}
 	return id
 }
 

@@ -99,8 +99,12 @@ type Collector struct {
 
 	// Strategy accounting (filled by the public API layer).
 	StackFallbacks Counter // evaluations that ran on the pushdown fallback
-	SeqFallbacks   Counter // chunk-parallel requests degraded to a sequential pass
-	ParallelRuns   Counter // chunk-parallel runs actually fanned out
+	// SeqFallbacks counts chunk-parallel requests degraded to a
+	// sequential pass. A whole-machine run the multi-query schedule plans
+	// (more machines than workers) is not a request for chunks and counts
+	// in neither this nor ParallelRuns.
+	SeqFallbacks Counter
+	ParallelRuns Counter // chunk-parallel runs actually fanned out
 
 	// Multi-query product compilation (internal/product).
 	ProductGroups      Counter // product groups evaluated one-pass

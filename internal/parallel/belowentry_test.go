@@ -56,8 +56,9 @@ func example26Chunkable(t *testing.T) core.Chunkable {
 // post-depth, -1 relative to the entry, is at or below the entry depth 0).
 func TestBelowEntryPiecesSizeOneChunks(t *testing.T) {
 	for di, events := range belowEntryDocs() {
+		buf := encoding.BufferEvents(events)
 		for i := range events {
-			pieces := cutPieces(events, i, i+1, core.CutBelowEntry)
+			pieces := cutPieces(buf.Events, i, i+1, core.CutBelowEntry)
 			if len(pieces) != 1 {
 				t.Fatalf("doc %d event %d: %d pieces for a one-event chunk", di, i, len(pieces))
 			}
@@ -81,12 +82,13 @@ func TestBelowEntrySegmentExitArray(t *testing.T) {
 	m := example26Chunkable(t)
 	n := m.ChunkStates()
 	for di, events := range belowEntryDocs() {
+		buf := encoding.BufferEvents(events)
 		for i, e := range events {
 			if e.Kind != encoding.Open {
 				continue
 			}
 			pieces := []piece{{lo: i, hi: i + 1, seg: true}}
-			summarize(m.Fork(), events, nil, pieces, false)
+			summarize(m.Fork(), buf, nil, pieces, false)
 			exits := pieces[0].exits
 			if len(exits) != n {
 				t.Fatalf("doc %d event %d: %d exits for %d states", di, i, len(exits), n)
@@ -127,7 +129,7 @@ func TestBelowEntryEveryPositionCuts(t *testing.T) {
 		}
 		var got []core.Match
 		par.Reset()
-		run(p, par, events, cuts, nil, func(mt core.Match) { got = append(got, mt) })
+		run(p, par, encoding.BufferEvents(events), cuts, false, nil, func(mt core.Match) { got = append(got, mt) })
 
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("doc %d: matches %v, want %v", di, got, want)

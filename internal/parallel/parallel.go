@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"stackless/internal/alphabet"
 	"stackless/internal/core"
 	"stackless/internal/encoding"
 	"stackless/internal/obs"
@@ -64,7 +63,7 @@ func sanitizeCuts(cuts []int, n int) []int {
 // depth is tracked relative to the chunk entry.
 //
 //treelint:plain
-func cutPieces(events []encoding.Event, lo, hi int, policy core.CutPolicy) []piece {
+func cutPieces(events []encoding.CodedEvent, lo, hi int, policy core.CutPolicy) []piece {
 	var pieces []piece
 	segLo := lo
 	//treelint:partial piece-list assembly: the closure and its appends are O(pieces), not O(events)
@@ -109,19 +108,20 @@ func cutPieces(events []encoding.Event, lo, hi int, policy core.CutPolicy) []pie
 
 // summarize simulates every segment piece of a chunk on a forked machine,
 // filling exits, opens/delta and (when wantMatches) the candidate sets.
-// Machines with a coded kernel simulate over the coded stream (coded,
-// index-aligned with events) — the hot path of the compiled pipeline under
-// parallel evaluation; the others step the events one control state at a
-// time.
-func summarize(m core.Chunkable, events []encoding.Event, coded []encoding.CodedEvent, pieces []piece, wantMatches bool) {
+// Machines with a coded kernel simulate over coded, the chunk's events in
+// the machine's codes (index-aligned with the buffer) — the hot path of
+// the compiled pipeline under parallel evaluation; the others step each
+// segment's events, labels restored from the buffer, one control state at
+// a time.
+func summarize(m core.Chunkable, buf *encoding.Buffer, coded []encoding.CodedEvent, pieces []piece, wantMatches bool) {
 	kernel, hasKernel := m.(core.CodedSegmentKernel)
+	var seg []encoding.Event
 	for pi := range pieces {
 		pc := &pieces[pi]
 		if !pc.seg {
 			continue
 		}
-		seg := events[pc.lo:pc.hi]
-		for _, e := range seg {
+		for _, e := range buf.Events[pc.lo:pc.hi] {
 			if e.Kind == encoding.Open {
 				pc.opens++
 				pc.delta++
@@ -136,22 +136,26 @@ func summarize(m core.Chunkable, events []encoding.Event, coded []encoding.Coded
 		if hasKernel {
 			pc.exits = kernel.SimulateSegmentCoded(coded[pc.lo:pc.hi], cands)
 		} else {
+			seg = seg[:0]
+			for i := pc.lo; i < pc.hi; i++ {
+				seg = append(seg, buf.Event(i))
+			}
 			pc.exits = core.SimulateSegmentGeneric(m, seg, cands)
 		}
 		pc.cands = cands
 	}
 }
 
-// codeStream lowers the whole buffered stream once, with one coder, so
-// hashing is per distinct label.
-func codeStream(m core.Chunkable, events []encoding.Event) []encoding.CodedEvent {
-	return encoding.CodeEvents(alphabet.NewCoder(m.CodeAlphabet()), events, make([]encoding.CodedEvent, 0, len(events)))
-}
-
 // MaxDepth returns the maximum nesting depth reached over the event
 // stream (one linear scan; stray closes below the start do not go
 // negative for the purpose of the maximum).
 func MaxDepth(events []encoding.Event) int {
+	buf := encoding.BufferEvents(events)
+	defer buf.Release()
+	return maxDepth(buf.Events)
+}
+
+func maxDepth(events []encoding.CodedEvent) int {
 	depth, max := 0, 0
 	for _, e := range events {
 		if e.Kind == encoding.Open {
@@ -175,62 +179,75 @@ func MaxDepth(events []encoding.Event) int {
 // chunk), so it only pays off when the stream's depth is small against
 // the chunk size. The 4× factor is the break-even margin: with D·chunks
 // boundaries at worst, segments must dominate by enough to amortize the
-// all-states overhead. Exported so the public API layer reports the same
-// decision the engine makes (Stats.Fallback "speculative" vs "deep").
+// all-states overhead.
 func SpeculationViable(events []encoding.Event, chunks int) bool {
-	if chunks <= 1 || len(events) == 0 {
+	buf := encoding.BufferEvents(events)
+	defer buf.Release()
+	return BufferSpeculationViable(buf, chunks)
+}
+
+// BufferSpeculationViable is SpeculationViable over a buffered stream.
+// Exported so the public API layer reports the same decision the engine
+// makes (Stats.Fallback "speculative" vs "deep").
+func BufferSpeculationViable(buf *encoding.Buffer, chunks int) bool {
+	if chunks <= 1 || buf.Len() == 0 {
 		return false
 	}
-	return 4*MaxDepth(events)*chunks <= len(events)
+	return 4*maxDepth(buf.Events)*chunks <= buf.Len()
 }
 
-// runSequentialCoded is the fallback when chunking cannot help: one pass on
-// the caller goroutine through the compiled pipeline, identical to
-// core.SelectCoded over a slice source. The coded stream is batch-stepped
-// as a whole, and the events are walked (for positions, depths and labels)
-// only when there are hits to report.
+// runWhole is the run without cuts: one pass on the calling goroutine
+// through the compiled pipeline, identical to core.SelectCoded over the
+// stream. The buffer is coded one DefaultBatch window at a time into a
+// scratch batch. A window's position and depth move by its Open count,
+// and its events are walked, counting Closes without a branch, only up to
+// its last hit.
 //
 //treelint:plain
-func runSequentialCoded(be core.BatchEvaluator, events []encoding.Event, coded []encoding.CodedEvent, fn func(core.Match)) {
+func runWhole(be core.BatchEvaluator, buf *encoding.Buffer, remap encoding.Remap, fn func(core.Match)) {
 	be.Reset()
-	if fn == nil {
-		be.StepBatch(coded)
-		return
-	}
-	hits := be.SelectBatch(coded, nil)
-	if len(hits) == 0 {
-		return
-	}
-	pos, depth, hi := -1, 0, 0
-	for i, e := range events {
-		if e.Kind != encoding.Open {
-			depth--
+	events := buf.Events
+	//treelint:partial one window-sized scratch batch per run
+	batch := make([]encoding.CodedEvent, min(encoding.DefaultBatch, len(events)))
+	var hits []int32
+	pos, depth := -1, 0 // before the window
+	for lo := 0; lo < len(events); lo += len(batch) {
+		win := events[lo:min(lo+len(batch), len(events))]
+		coded := batch[:len(win)]
+		opens := remap.Recode(coded, win)
+		if fn == nil {
+			be.StepBatch(coded)
 			continue
 		}
-		pos++
-		depth++
-		if hits[hi] == int32(i) {
-			fn(core.Match{Pos: pos, Depth: depth, Label: e.Label})
-			hi++
-			if hi == len(hits) {
-				return
+		hits = be.SelectBatch(coded, hits[:0])
+		k, closes := 0, 0 // events of the window walked, Closes among them
+		for _, h := range hits {
+			for ; k <= int(h) && k < len(win); k++ {
+				closes += int(win[k].Kind)
 			}
+			o := k - closes // Opens up to and including the hit
+			fn(core.Match{Pos: pos + o, Depth: depth + o - closes, Label: buf.Names[win[h].Sym]})
 		}
+		pos += opens
+		depth += 2*opens - len(win)
 	}
 }
 
-// run chunks events at the given interior cuts, summarizes the chunks on
-// the pool, and joins left to right, leaving m in its final configuration
-// and reporting matches to fn (when non-nil) in document order. The output
-// is byte-identical to the sequential run regardless of cuts, pool size or
-// scheduling.
+// run chunks the buffered stream at the given interior cuts, summarizes
+// the chunks on the pool, and joins left to right, leaving m in its final
+// configuration and reporting matches to fn (when non-nil) in document
+// order. The output is byte-identical to the sequential run regardless of
+// cuts, pool size or scheduling. A run without cuts is one whole pass; it
+// counts as a sequential fallback unless planned says the caller chose it
+// (the multi-query schedule, which gives each machine a worker of its own).
 //
 // A non-nil collector receives the chunking metrics: events and matches,
 // chunks/segments/boundary counts (SegmentEvents + BoundaryEvents always
-// equals len(events) for a fanned-out run), per-policy run counts, split/
-// simulate/join phase timings and the pool gauges. A nil collector is a
-// handful of predictable branches and zero allocations.
-func run(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.Collector, fn func(core.Match)) {
+// equals the event count for a fanned-out run), per-policy run counts,
+// split/simulate/join phase timings and the pool gauges. A nil collector
+// is a handful of predictable branches and zero allocations.
+func run(p *Pool, m core.Chunkable, buf *encoding.Buffer, cuts []int, planned bool, c *obs.Collector, fn func(core.Match)) {
+	events := buf.Events
 	policy := m.Cut()
 	requested := len(cuts)
 	cuts = sanitizeCuts(cuts, len(events))
@@ -255,18 +272,21 @@ func run(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.
 			}
 		}
 	}
+	remap := buf.Remap(m.CodeAlphabet())
 	if policy == core.CutAll || len(cuts) == 0 {
 		// CutAll: every event would be a boundary, so the join would replay
 		// the whole stream anyway; skip the summaries.
-		if c != nil {
+		if c != nil && !planned {
 			c.SeqFallbacks.Inc()
 		}
-		runSequentialCoded(m, events, codeStream(m, events), fn)
+		runWhole(m, buf, remap, fn)
 		return
 	}
 	var coded []encoding.CodedEvent
 	if _, ok := m.(core.CodedSegmentKernel); ok {
-		coded = codeStream(m, events)
+		// Each chunk task codes its own range.
+		coded = encoding.AcquireEvents(len(events))
+		defer encoding.ReleaseEvents(coded)
 	}
 	bounds := make([]int, 0, len(cuts)+2)
 	bounds = append(bounds, 0)
@@ -299,14 +319,20 @@ func run(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.
 			defer wg.Done()
 			if c == nil {
 				pieces := cutPieces(events, lo, hi, policy)
-				summarize(fork, events, coded, pieces, wantMatches)
+				if coded != nil {
+					remap.Recode(coded[lo:hi], events[lo:hi])
+				}
+				summarize(fork, buf, coded, pieces, wantMatches)
 				chunkPieces[ci] = pieces
 				return
 			}
 			t0 := time.Now()
 			pieces := cutPieces(events, lo, hi, policy)
 			t1 := time.Now()
-			summarize(fork, events, coded, pieces, wantMatches)
+			if coded != nil {
+				remap.Recode(coded[lo:hi], events[lo:hi])
+			}
+			summarize(fork, buf, coded, pieces, wantMatches)
 			t2 := time.Now()
 			c.Phases[obs.PhaseSplit].Observe(t1.Sub(t0))
 			c.Phases[obs.PhaseSimulate].Observe(t2.Sub(t1))
@@ -350,7 +376,7 @@ func run(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.
 				return
 			}
 			if !pc.seg {
-				e := events[pc.lo]
+				e := buf.Event(pc.lo)
 				if e.Kind == encoding.Open {
 					pos++
 					depth++
@@ -369,7 +395,7 @@ func run(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.
 						fn(core.Match{
 							Pos:   pos + 1 + int(cand.Opens),
 							Depth: depth + int(cand.Depth),
-							Label: events[pc.lo+int(cand.Idx)].Label,
+							Label: buf.Label(pc.lo + int(cand.Idx)),
 						})
 					}
 				}
@@ -388,24 +414,53 @@ func run(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.
 // explicit-cut entry points (SelectAt and friends) bypass this gate on
 // purpose — they are the adversarial-boundary harness and must be able to
 // force speculative fan-out on any stream.
-func gateCuts(m core.Chunkable, events []encoding.Event, cuts []int) []int {
-	if len(cuts) > 0 && m.Cut() == core.CutBoundedDepth && !SpeculationViable(events, len(cuts)+1) {
+func gateCuts(m core.Chunkable, buf *encoding.Buffer, cuts []int) []int {
+	if len(cuts) > 0 && m.Cut() == core.CutBoundedDepth && !BufferSpeculationViable(buf, len(cuts)+1) {
 		return nil
 	}
 	return cuts
 }
 
+// evenCuts is the gated even split of buf into the given number of chunks.
+func evenCuts(m core.Chunkable, buf *encoding.Buffer, chunks int) []int {
+	return gateCuts(m, buf, SplitPoints(buf.Len(), chunks))
+}
+
+// SelectBuffer evaluates a node-selecting machine over a buffered stream in
+// the given number of chunks, reporting matches in document order and
+// chunking metrics into a collector (nil: zero overhead; see
+// internal/obs). chunks <= 1 is a planned whole-machine run — the
+// multi-query schedule, which gives each machine a worker of its own — and
+// not a sequential fallback.
+func SelectBuffer(p *Pool, m core.Chunkable, buf *encoding.Buffer, chunks int, c *obs.Collector, fn func(core.Match)) {
+	run(p, m, buf, evenCuts(m, buf, chunks), chunks <= 1, c, countingFn(c, fn))
+}
+
+// RecognizeBuffer is SelectBuffer for a tree-language machine: it returns
+// the final acceptance.
+func RecognizeBuffer(p *Pool, m core.Chunkable, buf *encoding.Buffer, chunks int, c *obs.Collector) bool {
+	run(p, m, buf, evenCuts(m, buf, chunks), chunks <= 1, c, nil)
+	return m.Accepting()
+}
+
+// The entry points below take an event slice, intern it into a Buffer
+// (encoding.BufferEvents), run the buffered engine and release the buffer;
+// a run without cuts counts as a sequential fallback whatever the chunk
+// count asked.
+
 // Select evaluates a node-selecting machine over the events in the given
 // number of chunks, reporting matches in document order. The match set is
 // identical to core.Select's.
 func Select(p *Pool, m core.Chunkable, events []encoding.Event, chunks int, fn func(core.Match)) {
-	run(p, m, events, gateCuts(m, events, SplitPoints(len(events), chunks)), nil, fn)
+	SelectObs(p, m, events, chunks, nil, fn)
 }
 
 // SelectObs is Select reporting chunking metrics into a collector (nil:
 // zero overhead; see internal/obs).
 func SelectObs(p *Pool, m core.Chunkable, events []encoding.Event, chunks int, c *obs.Collector, fn func(core.Match)) {
-	run(p, m, events, gateCuts(m, events, SplitPoints(len(events), chunks)), c, countingFn(c, fn))
+	buf := encoding.BufferEvents(events)
+	defer buf.Release()
+	run(p, m, buf, evenCuts(m, buf, chunks), false, c, countingFn(c, fn))
 }
 
 // countingFn keeps Matches counted even for callers that discard matches —
@@ -422,13 +477,15 @@ func countingFn(c *obs.Collector, fn func(core.Match)) func(core.Match) {
 // SelectAt is Select with explicit interior cut positions — the
 // adversarial-boundary entry point for tests and fuzzing.
 func SelectAt(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, fn func(core.Match)) {
-	run(p, m, events, cuts, nil, fn)
+	SelectAtObs(p, m, events, cuts, nil, fn)
 }
 
 // SelectAtObs is SelectAt reporting chunking metrics into a collector —
 // out-of-range cuts count into CutsRejected.
 func SelectAtObs(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int, c *obs.Collector, fn func(core.Match)) {
-	run(p, m, events, cuts, c, countingFn(c, fn))
+	buf := encoding.BufferEvents(events)
+	defer buf.Release()
+	run(p, m, buf, cuts, false, c, countingFn(c, fn))
 }
 
 // SelectPositions runs Select and collects the selected preorder positions.
@@ -441,17 +498,21 @@ func SelectPositions(p *Pool, m core.Chunkable, events []encoding.Event, chunks 
 // Recognize evaluates a tree-language machine over the events in the given
 // number of chunks and returns the final acceptance.
 func Recognize(p *Pool, m core.Chunkable, events []encoding.Event, chunks int) bool {
-	return RecognizeAt(p, m, events, gateCuts(m, events, SplitPoints(len(events), chunks)))
+	return RecognizeObs(p, m, events, chunks, nil)
 }
 
 // RecognizeObs is Recognize reporting chunking metrics into a collector.
 func RecognizeObs(p *Pool, m core.Chunkable, events []encoding.Event, chunks int, c *obs.Collector) bool {
-	run(p, m, events, gateCuts(m, events, SplitPoints(len(events), chunks)), c, nil)
+	buf := encoding.BufferEvents(events)
+	defer buf.Release()
+	run(p, m, buf, evenCuts(m, buf, chunks), false, c, nil)
 	return m.Accepting()
 }
 
 // RecognizeAt is Recognize with explicit interior cut positions.
 func RecognizeAt(p *Pool, m core.Chunkable, events []encoding.Event, cuts []int) bool {
-	run(p, m, events, cuts, nil, nil)
+	buf := encoding.BufferEvents(events)
+	defer buf.Release()
+	run(p, m, buf, cuts, false, nil, nil)
 	return m.Accepting()
 }

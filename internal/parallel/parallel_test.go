@@ -16,6 +16,7 @@ import (
 	"stackless/internal/parallel"
 	"stackless/internal/rex"
 	"stackless/internal/stackeval"
+	"stackless/internal/tree"
 )
 
 // The differential harness: for every chunkable machine in internal/core,
@@ -445,5 +446,44 @@ func TestParallelDeterministicAcrossSchedules(t *testing.T) {
 	}
 	if !matchesEqual(want, seqMatches(ev, events)) {
 		t.Fatal("parallel diverges from sequential")
+	}
+}
+
+// TestLongStreamWindows runs a stream several coded windows long, whose
+// first windows hold no match, whole and chunked at cuts around the window
+// edges: the whole run codes and steps one window at a time and advances a
+// hitless window by its Open count alone, a chunked run codes each chunk's
+// range. Selection and the EL/AL verdicts must equal the sequential run.
+func TestLongStreamWindows(t *testing.T) {
+	p := parallel.NewPool(4)
+	defer p.Close()
+	rng := rand.New(rand.NewSource(1931))
+	root := tree.New("a")
+	root.Children = append(root.Children,
+		gen.RandomTree(rng, []string{"a", "c"}, 6000),
+		gen.RandomTree(rng, []string{"a", "b", "c"}, 3000))
+	events := encoding.Markup(root)
+	n, w := len(events), encoding.DefaultBatch
+	machines := obsMachines(t)
+	machines["pushdown"] = stackeval.QL(rex.MustCompile(".*ab", paperfigs.GammaABC()))
+	for name, m := range machines {
+		want := seqMatches(m, events)
+		if len(want) == 0 || want[0].Pos <= w {
+			t.Fatalf("%s: first match %v, want one after the first windows", name, want[:min(1, len(want))])
+		}
+		for _, cuts := range [][]int{nil, {n / 3, 2 * n / 3}, {w - 1, w + 1, 2*w + 5}} {
+			if got := parMatchesAt(p, m, events, cuts); !matchesEqual(got, want) {
+				t.Fatalf("%s cuts %v: %d matches, want %d", name, cuts, len(got), len(want))
+			}
+			for _, wrap := range []func(core.Chunkable) core.Chunkable{core.ELFromQL, core.ALFromQL} {
+				ref, err := core.Recognize(wrap(m.Fork()), encoding.NewSliceSource(events))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := parallel.RecognizeAt(p, wrap(m.Fork()), events, cuts); got != ref {
+					t.Fatalf("%s cuts %v: recognized %v, sequential %v", name, cuts, got, ref)
+				}
+			}
+		}
 	}
 }

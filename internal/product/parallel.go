@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"stackless/internal/alphabet"
 	"stackless/internal/core"
 	"stackless/internal/encoding"
 	"stackless/internal/obs"
@@ -51,50 +50,67 @@ type chunkResult struct {
 	exit  int32
 }
 
-// selectChunk runs the product over coded[lo:hi] from the given entry
-// state, collecting hits, masks, and the chunk's opens/delta/exit.
-func selectChunk(pd *core.ProductDFA, coded []encoding.CodedEvent, lo, hi int, entry int32) chunkResult {
+// windows codes events [lo, hi) of buf through remap one DefaultBatch
+// window at a time into a scratch batch and calls fn with each coded window
+// and the buffer index of its first event. It returns the Opens among the
+// events.
+func windows(buf *encoding.Buffer, remap encoding.Remap, lo, hi int, fn func(coded []encoding.CodedEvent, at int)) int {
+	batch := make([]encoding.CodedEvent, min(encoding.DefaultBatch, hi-lo))
+	opens := 0
+	for at := lo; at < hi; at += len(batch) {
+		win := buf.Events[at:min(at+len(batch), hi)]
+		coded := batch[:len(win)]
+		opens += remap.Recode(coded, win)
+		fn(coded, at)
+	}
+	return opens
+}
+
+// selectChunk runs the product over events [lo, hi) of buf from the given
+// entry state, collecting hits, masks, and the chunk's opens/delta/exit.
+func selectChunk(pd *core.ProductDFA, buf *encoding.Buffer, remap encoding.Remap, lo, hi int, entry int32) chunkResult {
 	ev := pd.EvaluatorAt(entry)
 	var res chunkResult
 	var hits []int32
-	for b := lo; b < hi; b += encoding.DefaultBatch {
-		e := b + encoding.DefaultBatch
-		if e > hi {
-			e = hi
-		}
+	res.opens = windows(buf, remap, lo, hi, func(coded []encoding.CodedEvent, at int) {
 		nh := len(hits)
-		hits, res.masks = ev.SelectBatchMasks(coded[b:e], hits, res.masks)
+		hits, res.masks = ev.SelectBatchMasks(coded, hits, res.masks)
 		for j := nh; j < len(hits); j++ {
-			hits[j] += int32(b - lo)
+			hits[j] += int32(at - lo)
 		}
-	}
+	})
 	res.exit = ev.State()
-	// One walk over the chunk turns hit indices into chunk-relative
-	// (position, depth) pairs and counts the chunk's opens and depth delta.
+	res.delta = 2*res.opens - (hi - lo)
+	// One walk up to the last hit, counting Closes, turns hit indices into
+	// chunk-relative (position, depth) pairs.
 	res.rel = make([]relHit, len(hits))
-	pos, depth := 0, 0
-	k := lo
+	events := buf.Events[lo:hi]
+	k, closes := 0, 0
 	for j, h := range hits {
-		for ; k <= lo+int(h); k++ {
-			if coded[k].Kind == encoding.Open {
-				pos++
-				depth++
-			} else {
-				depth--
-			}
+		for ; k <= int(h) && k < len(events); k++ {
+			closes += int(events[k].Kind)
 		}
-		res.rel[j] = relHit{idx: h, pos: pos - 1, depth: depth}
+		res.rel[j] = relHit{idx: h, pos: k - closes - 1, depth: k - 2*closes}
 	}
-	for ; k < hi; k++ {
-		if coded[k].Kind == encoding.Open {
-			pos++
-			depth++
-		} else {
-			depth--
-		}
-	}
-	res.opens, res.delta = pos, depth
 	return res
+}
+
+// chunkExits runs events [lo, hi) of buf from every product state at once
+// and returns the exit state per entry state, composing the windows' maps.
+func chunkExits(pd *core.ProductDFA, buf *encoding.Buffer, remap encoding.Remap, lo, hi int) []int32 {
+	ev := pd.Evaluator()
+	var exits, win []int32
+	windows(buf, remap, lo, hi, func(coded []encoding.CodedEvent, _ int) {
+		win = ev.SimulateChunkCoded(coded, win)
+		if exits == nil {
+			exits = append([]int32(nil), win...)
+			return
+		}
+		for i, q := range exits {
+			exits[i] = win[q]
+		}
+	})
+	return exits
 }
 
 // SelectChunks evaluates the product over the events in the given number of
@@ -112,22 +128,37 @@ func SelectChunks(pool *parallel.Pool, pd *core.ProductDFA, events []encoding.Ev
 // SelectChunksAt is SelectChunks with explicit cut positions — the
 // differential tests drive every cut position, size-1 chunks and fuzzed
 // cuts through it. Out-of-range and duplicate cuts are dropped (counted
-// into CutsRejected).
+// into CutsRejected). A run without cuts counts as a sequential fallback.
 func SelectChunksAt(pool *parallel.Pool, pd *core.ProductDFA, events []encoding.Event, cuts []int, c *obs.Collector, fn func(bit int, m core.Match)) {
-	n := len(events)
+	buf := encoding.BufferEvents(events)
+	defer buf.Release()
+	selectAt(pool, pd, buf, cuts, false, c, fn)
+}
+
+// SelectBuffer is SelectChunks over a buffered stream. chunks <= 1 is a
+// planned whole-machine run (the multi-query schedule), not a sequential
+// fallback.
+func SelectBuffer(pool *parallel.Pool, pd *core.ProductDFA, buf *encoding.Buffer, chunks int, c *obs.Collector, fn func(bit int, m core.Match)) {
+	selectAt(pool, pd, buf, parallel.SplitPoints(buf.Len(), chunks), chunks <= 1, c, fn)
+}
+
+// selectAt is the product engine: SelectChunksAt over a buffered stream,
+// with planned marking a run without cuts that the caller chose.
+func selectAt(pool *parallel.Pool, pd *core.ProductDFA, buf *encoding.Buffer, cuts []int, planned bool, c *obs.Collector, fn func(bit int, m core.Match)) {
+	n := buf.Len()
 	clean := sanitizeCuts(cuts, n)
 	if c != nil {
 		c.Events.Add(int64(pd.Members()) * int64(n))
 		c.RunsByPolicy[core.CutNone].Inc()
 		c.CutsRejected.Add(int64(len(cuts) - len(clean)))
 	}
-	coded := encoding.CodeEvents(alphabet.NewCoder(pd.Alphabet()), events, make([]encoding.CodedEvent, 0, n))
+	remap := buf.Remap(pd.Alphabet())
 	if len(clean) == 0 {
-		if c != nil {
+		if c != nil && !planned {
 			c.SeqFallbacks.Inc()
 		}
-		res := selectChunk(pd, coded, 0, n, int32(pd.Start()))
-		emitChunk(pd, events, 0, res, 0, 0, c, fn)
+		res := selectChunk(pd, buf, remap, 0, n, int32(pd.Start()))
+		emitChunk(pd, buf, 0, res, 0, 0, c, fn)
 		return
 	}
 	bounds := make([]int, 0, len(clean)+2)
@@ -154,9 +185,9 @@ func SelectChunksAt(pool *parallel.Pool, pd *core.ProductDFA, events []encoding.
 		lo, hi := bounds[ci], bounds[ci+1]
 		submit(pool, c, &wg, func() {
 			if ci == 0 {
-				results[0] = selectChunk(pd, coded, lo, hi, int32(pd.Start()))
+				results[0] = selectChunk(pd, buf, remap, lo, hi, int32(pd.Start()))
 			} else {
-				exits[ci] = pd.Evaluator().SimulateChunkCoded(coded[lo:hi], nil)
+				exits[ci] = chunkExits(pd, buf, remap, lo, hi)
 			}
 		})
 	}
@@ -177,7 +208,7 @@ func SelectChunksAt(pool *parallel.Pool, pd *core.ProductDFA, events []encoding.
 		ci := ci
 		lo, hi := bounds[ci], bounds[ci+1]
 		submit(pool, c, &wg, func() {
-			results[ci] = selectChunk(pd, coded, lo, hi, entry[ci])
+			results[ci] = selectChunk(pd, buf, remap, lo, hi, entry[ci])
 		})
 	}
 	wg.Wait()
@@ -193,7 +224,7 @@ func SelectChunksAt(pool *parallel.Pool, pd *core.ProductDFA, events []encoding.
 	}
 	opens, depth := 0, 0
 	for ci := 0; ci < w; ci++ {
-		emitChunk(pd, events, bounds[ci], results[ci], opens, depth, c, fn)
+		emitChunk(pd, buf, bounds[ci], results[ci], opens, depth, c, fn)
 		opens += results[ci].opens
 		depth += results[ci].delta
 	}
@@ -202,13 +233,13 @@ func SelectChunksAt(pool *parallel.Pool, pd *core.ProductDFA, events []encoding.
 // emitChunk replays one chunk's hits in order, rebasing positions and
 // depths by the prefix sums of the preceding chunks and expanding each mask
 // into per-bit calls.
-func emitChunk(pd *core.ProductDFA, events []encoding.Event, lo int, res chunkResult, opens, depth int, c *obs.Collector, fn func(int, core.Match)) {
+func emitChunk(pd *core.ProductDFA, buf *encoding.Buffer, lo int, res chunkResult, opens, depth int, c *obs.Collector, fn func(int, core.Match)) {
 	words := pd.MaskWords()
 	for j, rh := range res.rel {
 		m := core.Match{
 			Pos:   opens + rh.pos,
 			Depth: depth + rh.depth,
-			Label: events[lo+int(rh.idx)].Label,
+			Label: buf.Label(lo + int(rh.idx)),
 		}
 		for wi, word := range res.masks[j*words : (j+1)*words] {
 			for word != 0 {
@@ -218,7 +249,7 @@ func emitChunk(pd *core.ProductDFA, events []encoding.Event, lo int, res chunkRe
 					c.Matches.Inc()
 					// All product hits emit at the end-of-stream join; the
 					// deciding Open sits at global event index lo+idx.
-					c.Latency.Observe(len(events) - 1 - (lo + int(rh.idx)))
+					c.Latency.Observe(buf.Len() - 1 - (lo + int(rh.idx)))
 				}
 				if fn != nil {
 					fn(bit, m)

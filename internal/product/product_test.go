@@ -17,6 +17,7 @@ import (
 	"stackless/internal/obs"
 	"stackless/internal/parallel"
 	"stackless/internal/rex"
+	"stackless/internal/tree"
 )
 
 func tagQL(t testing.TB, expr string, alph *alphabet.Alphabet) *core.TagDFA {
@@ -321,6 +322,62 @@ func TestSelectChunksCounterParity(t *testing.T) {
 			}
 		} else if c.ParallelRuns.Load() != 1 || c.Chunks.Load() != int64(len(cuts)+1) {
 			t.Errorf("cuts %v: ParallelRuns=%d Chunks=%d", cuts, c.ParallelRuns.Load(), c.Chunks.Load())
+		}
+	}
+}
+
+// TestSelectChunksLongStream runs a product over a stream several coded
+// windows long, whose first windows hold no match, whole and chunked at
+// cuts around the window edges: both phases code and step one window at a
+// time, so phase one composes the windows' entry→exit maps and the hits of
+// later windows are offset into their chunk. Every run must equal the
+// members' own sequential passes, merged by position and then bit.
+func TestSelectChunksLongStream(t *testing.T) {
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	abc := alphabet.Letters("abc")
+	// The second member's alphabet leaves out c, so the first c poisons it:
+	// its state changes inside a chunk's later window.
+	members := []*core.TagDFA{tagQL(t, "a.*b", abc), tagQL(t, ".*b", alphabet.Letters("ab")), tagQL(t, "b.*c", abc)}
+	pd, err := core.NewProductDFA(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1933))
+	root := tree.New("a")
+	root.Children = append(root.Children,
+		gen.RandomTree(rng, []string{"a"}, 6000),
+		gen.RandomTree(rng, []string{"a", "b", "c"}, 3000))
+	events := encoding.Markup(root)
+	per := make([][]core.Match, len(members))
+	for i, m := range members {
+		per[i] = fanoutMatches(m.Evaluator(), events)
+	}
+	var want []bitMatch
+	for next := make([]int, len(per)); ; {
+		best := -1
+		for i := range per {
+			if next[i] < len(per[i]) && (best < 0 || per[i][next[i]].Pos < per[best][next[best]].Pos) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		want = append(want, bitMatch{best, per[best][next[best]]})
+		next[best]++
+	}
+	if len(want) == 0 || want[0].m.Pos <= encoding.DefaultBatch {
+		t.Fatalf("first match %v, want one after the first windows", want[:min(1, len(want))])
+	}
+	n, w := len(events), encoding.DefaultBatch
+	lastB := n - 1 // the last chunk starts at the last b: it matches iff its entry is right
+	for events[lastB] != (encoding.Event{Kind: encoding.Open, Label: "b"}) {
+		lastB--
+	}
+	for _, cuts := range [][]int{nil, {n / 2}, {w - 1, w + 1, 2*w + 5, n - 3}, {w / 2, lastB}} {
+		if got := runChunks(pool, pd, events, cuts, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cuts %v: %d matches, want %d", cuts, len(got), len(want))
 		}
 	}
 }

@@ -62,8 +62,10 @@ type MultiStats struct {
 	Events int
 	// Matches per query.
 	Matches []int
-	// Workers used for chunk-parallel evaluation (1 = sequential pass);
-	// Options.Workers clamped to GOMAXPROCS, as in Stats.
+	// Workers the run was spread over (1 = sequential pass);
+	// Options.Workers clamped to GOMAXPROCS, as in Stats. The machines run
+	// concurrently on them, each in max(1, Workers ÷ machines) chunks, so a
+	// set with at least as many machines as workers chunks none.
 	Workers int
 	// Pipeline actually used: PipelineString when the sequential per-event
 	// earliest pass ran (Options.Earliest with Workers 1), PipelineCoded
@@ -360,56 +362,63 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 	}
 }
 
-// selectParallel fans the product groups and the loose queries — and, for
-// chunkable machines, their chunks — across the shared worker pool, then
+// selectParallel reads the stream once into a buffer, runs the product
+// groups and the loose queries over it on the shared worker pool, then
 // merges the per-query match streams back into the exact emission order of
-// the sequential pass (position, then query index). A product group is one
-// chunk-parallel run for its whole member set (internal/product's
-// two-phase driver); each query of the group owns its own demuxed stream,
+// the sequential pass (position, then query index). The schedule gives
+// each machine max(1, workers ÷ machines) chunks: a set with at least as
+// many machines as workers runs each machine whole, as one leaf task on
+// the pool; a smaller set also chunks each machine, its chunks the leaf
+// tasks. A product group is one run for its whole member set
+// (internal/product); each query of the group owns its own demuxed stream,
 // so the merge below is oblivious to how a stream was produced.
 func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core.Evaluator, plan product.Plan, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
 	c := opt.Collector
-	events, err := encoding.ReadAll(src)
-	stats.Events = len(events)
+	buf, err := readChunked(src, c, len(evs))
+	defer buf.Release()
+	stats.Events = buf.Len()
 	if err != nil {
-		if c != nil {
-			c.Events.Add(int64(len(events)) * int64(len(evs)))
-		}
 		return stats, err
 	}
 	stats.Workers = opt.Workers
+	pool := parallel.Shared()
+	chunks := max(1, opt.Workers/(len(plan.Groups)+len(plan.Loose)))
 	perQuery := make([][]Match, len(evs))
 	var wg sync.WaitGroup
+	// schedule starts one machine's run: a leaf task on the pool when it
+	// runs whole, else a goroutine that submits its chunks and joins them.
+	schedule := func(run func()) {
+		wg.Add(1)
+		task := func() {
+			defer wg.Done()
+			run()
+		}
+		if chunks == 1 {
+			pool.Submit(task)
+		} else {
+			go task()
+		}
+	}
+	// Each query index belongs to exactly one machine, so appends to
+	// perQuery race with no other task.
 	for gi := range plan.Groups {
 		g := plan.Groups[gi]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each query index belongs to exactly one group, so appends to
-			// perQuery race with no other goroutine.
-			product.SelectChunks(parallel.Shared(), g.Machine, events, opt.Workers, c, func(bit int, cm core.Match) {
+		schedule(func() {
+			product.SelectBuffer(pool, g.Machine, buf, chunks, c, func(bit int, cm core.Match) {
 				q := g.Queries[bit]
 				perQuery[q] = append(perQuery[q], Match{Pos: cm.Pos, Depth: cm.Depth, Label: cm.Label})
 			})
-		}()
+		})
 	}
 	for _, i := range plan.Loose {
-		i, ev := i, evs[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			collect := func(cm core.Match) {
-				perQuery[i] = append(perQuery[i], Match{Pos: cm.Pos, Depth: cm.Depth, Label: cm.Label})
-			}
-			if cm, ok := ev.(core.Chunkable); ok {
-				parallel.SelectObs(parallel.Shared(), cm, events, opt.Workers, c, collect)
-				return
-			}
-			if c != nil {
-				c.SeqFallbacks.Inc()
-			}
-			_, _ = core.SelectCodedObs(ev, c, encoding.NewSliceSource(events), collect)
-		}()
+		// Every QL machine a Query builds (tag DFA, stackless, pushdown)
+		// is chunkable.
+		i, cm := i, evs[i].(core.Chunkable)
+		schedule(func() {
+			parallel.SelectBuffer(pool, cm, buf, chunks, c, func(mt core.Match) {
+				perQuery[i] = append(perQuery[i], Match{Pos: mt.Pos, Depth: mt.Depth, Label: mt.Label})
+			})
+		})
 	}
 	wg.Wait()
 	var mergeStart time.Time

@@ -2,6 +2,7 @@ package stackless
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -246,6 +247,118 @@ func TestObsMultiQueryCollector(t *testing.T) {
 		if parC.Phases[obs.PhaseMerge].Count.Load() != 1 {
 			t.Fatalf("doc %d: merge phase observed %d times, want 1", i, parC.Phases[obs.PhaseMerge].Count.Load())
 		}
+	}
+}
+
+// TestObsMultiQueryScheduleParity drives random query sets through the
+// Workers > 1 schedule on both of its sides — each machine (product group
+// or loose member) gets max(1, workers ÷ machines) chunks, so small sets
+// chunk every machine and sets with at least as many machines as workers
+// run each one whole on one worker — and holds each run to the sequential
+// one: the same matches in the same emission order, the same MultiStats,
+// and the same collector Events and Matches. A planned whole-machine run
+// is not a sequential fallback: those runs leave SeqFallbacks and
+// ParallelRuns at 0, while every chunked machine counts one of the two.
+func TestObsMultiQueryScheduleParity(t *testing.T) {
+	withProcs(t, 4)
+	pool := []*Query{
+		MustCompileRegex("a.*b", abc),   // registerless: the product group
+		MustCompileRegex(".*a", abc),    // registerless
+		MustCompileRegex("b.*c", abc),   // registerless
+		MustCompileRegex(".*a.*b", abc), // stackless
+		MustCompileRegex(".*b.*c", abc), // stackless
+		MustCompileRegex(".*ab", abc),   // stack
+		MustCompileRegex(".*cb", abc),   // stack
+	}
+	// "zz" is outside every alphabet; "c" is kept out of the first part of
+	// some documents, so its label first appears late in the stream.
+	labels := []string{"a", "b", "c", "zz"}
+	rng := rand.New(rand.NewSource(1901))
+	for trial := 0; trial < 60; trial++ {
+		perm := rng.Perm(len(pool))
+		set := make([]*Query, 1+rng.Intn(len(pool)))
+		for i := range set {
+			set[i] = pool[perm[i]]
+		}
+		mq, err := NewMultiQuery(set...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := gen.RandomTree(rng, labels[:2+rng.Intn(2)], 1+rng.Intn(80))
+		tr.Children = append(tr.Children, gen.RandomTree(rng, labels, 1+rng.Intn(40)))
+		doc := encoding.XMLString(tr)
+
+		seqC := NewCollector()
+		want, seqStats := multiRun(t, mq, doc, Options{Collector: seqC})
+		for _, workers := range []int{2, 4} {
+			c := NewCollector()
+			got, stats := multiRun(t, mq, doc, Options{Workers: workers, Collector: c})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d workers %d: %v, sequential %v", trial, workers, got, want)
+			}
+			if !reflect.DeepEqual(stats.Matches, seqStats.Matches) || stats.Events != seqStats.Events ||
+				!reflect.DeepEqual(stats.Strategies, seqStats.Strategies) || stats.ProductGroups != seqStats.ProductGroups {
+				t.Fatalf("trial %d workers %d: stats %+v, sequential %+v", trial, workers, stats, seqStats)
+			}
+			if c.Events.Load() != seqC.Events.Load() || c.Matches.Load() != seqC.Matches.Load() || c.Matches.Load() != int64(len(want)) {
+				t.Fatalf("trial %d workers %d: collector events=%d matches=%d, sequential events=%d matches=%d, %d delivered",
+					trial, workers, c.Events.Load(), c.Matches.Load(), seqC.Events.Load(), seqC.Matches.Load(), len(want))
+			}
+			machines := len(set)
+			if stats.ProductGroups > 0 {
+				grouped := 0
+				for _, st := range stats.Strategies {
+					if st == Registerless {
+						grouped++
+					}
+				}
+				machines += stats.ProductGroups - grouped
+			}
+			runs := c.ParallelRuns.Load() + c.SeqFallbacks.Load()
+			if chunks := workers / machines; chunks <= 1 && runs != 0 {
+				t.Fatalf("trial %d workers %d: %d machines ran whole, yet parallel=%d seqfallbacks=%d",
+					trial, workers, machines, c.ParallelRuns.Load(), c.SeqFallbacks.Load())
+			} else if chunks > 1 && runs != int64(machines) {
+				t.Fatalf("trial %d workers %d: %d machines in %d chunks each, parallel=%d seqfallbacks=%d",
+					trial, workers, machines, chunks, c.ParallelRuns.Load(), c.SeqFallbacks.Load())
+			}
+		}
+	}
+}
+
+// TestObsMultiQueryPlannedRunsNotFallbacks pins the machine-level schedule
+// on a 16-member set at Workers 2: every machine runs whole on one worker,
+// which the collector does not count as a degraded chunk-parallel request.
+func TestObsMultiQueryPlannedRunsNotFallbacks(t *testing.T) {
+	withProcs(t, 2)
+	labels := []string{"a", "b", "c", "d"}
+	var set []*Query
+	for _, x := range labels {
+		set = append(set, MustCompileRegex(".*"+x, labels), MustCompileRegex(x+".*", labels))
+		for _, y := range labels[:2] {
+			set = append(set, MustCompileRegex(".*"+x+".*"+y, labels))
+		}
+	}
+	if len(set) != 16 {
+		t.Fatalf("%d members, want 16", len(set))
+	}
+	mq, err := NewMultiQuery(set...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := encoding.XMLString(gen.RandomTree(rand.New(rand.NewSource(1907)), labels, 400))
+	want, _ := multiRun(t, mq, doc, Options{})
+	c := NewCollector()
+	got, stats := multiRun(t, mq, doc, Options{Workers: 2, Collector: c})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Workers 2 changed the match stream")
+	}
+	if stats.Workers != 2 {
+		t.Fatalf("Workers = %d, want 2", stats.Workers)
+	}
+	if c.SeqFallbacks.Load() != 0 || c.ParallelRuns.Load() != 0 {
+		t.Fatalf("seqfallbacks=%d parallel=%d, want 0/0: planned whole-machine runs",
+			c.SeqFallbacks.Load(), c.ParallelRuns.Load())
 	}
 }
 

@@ -129,19 +129,22 @@ type Options struct {
 	// tags do not balance (gross transport errors), at one counter's cost.
 	TrustInput bool
 	// Workers > 1 evaluates the stream chunk-parallel on the shared worker
-	// pool: the events are buffered, split into chunks, simulated
-	// concurrently from every machine state and joined (see
-	// internal/parallel and DESIGN.md §8). The match set is identical to
-	// the sequential run. The count is clamped to GOMAXPROCS — requesting
-	// more workers than cores only adds join overhead (EXPERIMENTS.md);
-	// Stats.Workers reports the clamped value. Falls back to sequential
-	// evaluation when the chosen strategy cannot be chunked (the synopsis
-	// EL machine) or when the pushdown fallback's speculative chunking is
-	// not viable for the stream (see Stats.Fallback); note that chunking
-	// trades the model's O(1) memory for throughput by buffering the
-	// event stream.
-	// In a MultiQuery run each product group is one chunk-parallel pass
-	// for its whole member set (DESIGN.md §13).
+	// pool: the stream is read once into a buffer of stream-local label
+	// ids, split into chunks, simulated concurrently from every machine
+	// state and joined (see internal/parallel and DESIGN.md §8). The match
+	// set is identical to the sequential run. The count is clamped to
+	// GOMAXPROCS — requesting more workers than cores only adds join
+	// overhead (EXPERIMENTS.md); Stats.Workers reports the clamped value.
+	// Falls back to sequential evaluation when the chosen strategy cannot
+	// be chunked (the synopsis EL machine) or when the pushdown fallback's
+	// speculative chunking is not viable for the stream (see
+	// Stats.Fallback); note that buffering the stream trades the model's
+	// O(1) memory for throughput.
+	// A MultiQuery run reads the stream once for all its machines (each
+	// product group is one machine for its whole member set, DESIGN.md
+	// §13) and gives each machine max(1, Workers ÷ machines) chunks: a set
+	// with at least as many machines as workers runs every machine whole,
+	// one per worker at a time, which is planned, not a fallback.
 	Workers int
 	// Earliest requests the earliest-emission latency contract (DESIGN.md
 	// §14): every match is reported at the exact event that decides it,
@@ -227,11 +230,14 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 			// approximation's latency bound does.
 			stats.Earliest = EarliestApprox
 		}
-		events, err := readChunked(src, cm, opt, &stats)
+		buf, err := readChunked(src, opt.Collector, 1)
+		defer buf.Release()
+		stats.Events = buf.Len()
 		if err != nil {
 			return stats, err
 		}
-		parallel.SelectObs(parallel.Shared(), cm, events, opt.Workers, c, report)
+		chunkStats(buf, cm, opt, &stats)
+		parallel.SelectBuffer(parallel.Shared(), cm, buf, opt.Workers, c, report)
 		return stats, nil
 	}
 	sequentialStats(opt, &stats)
@@ -248,28 +254,32 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 	return stats, err
 }
 
-// readChunked buffers src for a chunk-parallel run of cm and records in
-// stats how the run splits: workers, cut policy, chunk count and any
-// sequential degradation (Stats.Fallback).
-func readChunked(src encoding.Source, cm core.Chunkable, opt Options, stats *Stats) ([]encoding.Event, error) {
-	events, err := encoding.ReadAll(src)
-	stats.Events = len(events)
-	if err != nil {
-		if c := opt.Collector; c != nil {
-			c.Events.Add(int64(len(events)))
-		}
-		return events, err
+// readChunked reads src once into the buffer every chunk-parallel run
+// reads: a Query's machine, or all the machines of a MultiQuery set. On
+// error the events read so far count into the collector once per machine,
+// as the runs would have counted them.
+func readChunked(src encoding.Source, c *obs.Collector, machines int) (*encoding.Buffer, error) {
+	buf, err := encoding.ReadBuffer(src)
+	if err != nil && c != nil {
+		c.Events.Add(int64(buf.Len()) * int64(machines))
 	}
+	return buf, err
+}
+
+// chunkStats records in stats how a chunk-parallel run of cm over buf
+// splits: workers, cut policy, chunk count and any sequential degradation
+// (Stats.Fallback).
+func chunkStats(buf *encoding.Buffer, cm core.Chunkable, opt Options, stats *Stats) {
 	stats.Workers = opt.Workers
 	policy := cm.Cut()
 	stats.CutPolicy = policy.String()
-	cuts := parallel.SplitPoints(len(events), opt.Workers)
+	cuts := parallel.SplitPoints(buf.Len(), opt.Workers)
 	switch {
 	case policy == core.CutAll:
 		stats.Fallback = "cutall"
 	case len(cuts) == 0:
 		stats.Fallback = "short"
-	case policy == core.CutBoundedDepth && !parallel.SpeculationViable(events, len(cuts)+1):
+	case policy == core.CutBoundedDepth && !parallel.BufferSpeculationViable(buf, len(cuts)+1):
 		stats.Fallback = "deep"
 	default:
 		stats.Chunks = len(cuts) + 1
@@ -277,7 +287,6 @@ func readChunked(src encoding.Source, cm core.Chunkable, opt Options, stats *Sta
 			stats.Fallback = "speculative"
 		}
 	}
-	return events, nil
 }
 
 // sequentialStats records in stats the "strategy" fallback of a sequential
@@ -324,11 +333,14 @@ func (q *Query) recognize(src encoding.Source, enc Encoding, sem semantics, opt 
 	}
 	stats := Stats{Strategy: st, Workers: 1, Chunks: 1, Pipeline: PipelineCoded}
 	if cm, ok := ev.(core.Chunkable); ok && opt.Workers > 1 {
-		events, err := readChunked(src, cm, opt, &stats)
+		buf, err := readChunked(src, opt.Collector, 1)
+		defer buf.Release()
+		stats.Events = buf.Len()
 		if err != nil {
 			return false, stats, err
 		}
-		return parallel.RecognizeObs(parallel.Shared(), cm, events, opt.Workers, opt.Collector), stats, nil
+		chunkStats(buf, cm, opt, &stats)
+		return parallel.RecognizeBuffer(parallel.Shared(), cm, buf, opt.Workers, opt.Collector), stats, nil
 	}
 	sequentialStats(opt, &stats)
 	ok, events, err := core.RecognizeCodedObs(ev, opt.Collector, src)
