@@ -1028,7 +1028,7 @@ func BenchmarkSelectEarliestEarlyExit(b *testing.B) {
 // internal/encoding hold the rebuilt machine behaviourally identical to it.
 type legacyStack struct {
 	d     *dfa.DFA
-	res   *alphabet.Resolver
+	res   alphabet.Resolver
 	state int
 	alive bool
 	stk   []int

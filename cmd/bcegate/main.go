@@ -51,9 +51,10 @@ func main() {
 
 // kernelNames are the batch-kernel methods the gate derives its target set
 // from — the step kernels and the EL/AL wrappers' window loop behind them,
-// the byte lexers' scan loops and the batch fill that drives them, and the
-// buffered stream's drain and per-machine recode; every implementation
-// must be annotated plain or partial.
+// the byte lexers' scan loops, the batch fill that drives them and its
+// events-mode twin over any other Source, and the buffered stream's drain
+// and per-machine recode; every implementation must be annotated plain or
+// partial.
 var kernelNames = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,
@@ -62,6 +63,7 @@ var kernelNames = map[string]bool{
 	"lexXML":               true,
 	"lexTerm":              true,
 	"fillBatch":            true,
+	"fillEvents":           true,
 	"drain":                true,
 	"Recode":               true,
 }

@@ -159,7 +159,7 @@ func (a *Alphabet) Clone() *Alphabet {
 	return c
 }
 
-// Sym is a dense symbol code produced by a Coder: ids in [0, Size()) for
+// Sym is a dense symbol code under an alphabet: ids in [0, Size()) for
 // alphabet symbols, plus the sentinel Size() for any label outside the
 // alphabet. Keeping the unknown sentinel dense — one extra column rather
 // than a negative id — lets compiled transition tables stay total: a
@@ -168,41 +168,19 @@ func (a *Alphabet) Clone() *Alphabet {
 // machine's dead state (the poison convention of internal/core).
 type Sym int32
 
-// coderCacheSize bounds the Coder's linear cache. Beyond it, resolution
-// falls through to a map so adversarial streams with many distinct labels
-// degrade to one hash per event instead of a linear scan.
-const coderCacheSize = 16
-
-// Coder interns labels to dense Sym codes for the compiled event pipeline.
-// Unlike Resolver it also caches labels *outside* the alphabet (mapping
-// them to the unknown sentinel), so a stream's hashing cost is one lookup
-// per distinct label, not per event. A Coder is not safe for concurrent
-// use; make one per stream.
+// Coder codes labels to dense Sym codes under one alphabet: one alphabet
+// lookup per call, labels outside it coding to the unknown sentinel. The
+// event pipeline codes each distinct label of a stream once, through a
+// remap of the stream's local label ids (internal/encoding), so a Coder
+// keeps no cache of its own.
 type Coder struct {
 	alph    *Alphabet
 	unknown Sym
-	b1      [256]Sym // single-byte labels: first byte → code, -1 unresolved
-	labels  []string // linear cache, pointer-fast for interned labels
-	codes   []Sym
-	over    map[string]Sym // overflow beyond coderCacheSize
 }
 
 // NewCoder returns a coder for the alphabet.
 func NewCoder(a *Alphabet) *Coder {
-	c := &Coder{}
-	c.Reset(a)
-	return c
-}
-
-// Reset empties the coder's caches and points it at alphabet a, so one
-// Coder can serve run after run (the coded drivers pool theirs).
-func (c *Coder) Reset(a *Alphabet) {
-	c.alph, c.unknown = a, Sym(a.Size())
-	for i := range c.b1 {
-		c.b1[i] = -1
-	}
-	clear(c.labels)
-	c.labels, c.codes, c.over = c.labels[:0], c.codes[:0], nil
+	return &Coder{alph: a, unknown: Sym(a.Size())}
 }
 
 // Alphabet returns the alphabet the codes index into.
@@ -212,59 +190,20 @@ func (c *Coder) Alphabet() *Alphabet { return c.alph }
 // Sym(Alphabet().Size()), the extra column of compiled tables.
 func (c *Coder) Unknown() Sym { return c.unknown }
 
-// Code returns the dense code of label, caching the resolution. Labels
-// outside the alphabet code to Unknown(). Single-byte labels (the paper's
-// letter alphabets) resolve through a direct byte table — one load, no
-// comparison.
+// Code returns the dense code of label: its id, or Unknown() for a label
+// outside the alphabet.
 func (c *Coder) Code(label string) Sym {
-	if len(label) == 1 {
-		if v := c.b1[label[0]]; v >= 0 {
-			return v
-		}
-	}
-	return c.codeLinear(label)
-}
-
-// codeLinear scans the small linear cache (multi-byte labels, or a byte
-// missing from the b1 table).
-func (c *Coder) codeLinear(label string) Sym {
-	for i, l := range c.labels {
-		if l == label {
-			return c.codes[i]
-		}
-	}
-	return c.codeSlow(label)
-}
-
-// codeSlow resolves a label missing from every cache and caches it — in
-// the byte table for single-byte labels, else in the linear cache while it
-// has room, in the overflow map afterwards.
-func (c *Coder) codeSlow(label string) Sym {
-	if s, ok := c.over[label]; ok {
-		return s
-	}
-	s := c.unknown
 	if id, ok := c.alph.ID(label); ok {
-		s = Sym(id)
+		return Sym(id)
 	}
-	switch {
-	case len(label) == 1:
-		c.b1[label[0]] = s
-	case len(c.labels) < coderCacheSize:
-		c.labels = append(c.labels, label)
-		c.codes = append(c.codes, s)
-	default:
-		if c.over == nil {
-			c.over = make(map[string]Sym)
-		}
-		c.over[label] = s
-	}
-	return s
+	return c.unknown
 }
 
 // Resolver memoizes label-to-id resolution for streaming hot paths. A small
 // linear cache exploits two facts: documents use few distinct labels, and
-// interned label strings make the == comparison a pointer check.
+// interned label strings make the == comparison a pointer check. Machines
+// hold one by value: only the string Step fills its cache, so a machine
+// instance that runs coded batches never allocates it.
 type Resolver struct {
 	alph   *Alphabet
 	labels []string
@@ -272,8 +211,8 @@ type Resolver struct {
 }
 
 // NewResolver returns a resolver for the alphabet.
-func NewResolver(a *Alphabet) *Resolver {
-	return &Resolver{alph: a}
+func NewResolver(a *Alphabet) Resolver {
+	return Resolver{alph: a}
 }
 
 // ID resolves a label, caching the result.

@@ -33,11 +33,11 @@ func TestCoderKnownAndUnknown(t *testing.T) {
 	}
 }
 
-// TestCoderOverflow pushes more distinct labels than the linear cache holds;
-// resolutions must stay correct through the overflow map, including unknowns.
+// TestCoderOverflow codes many distinct labels, twice over: resolutions
+// must stay correct, including unknowns.
 func TestCoderOverflow(t *testing.T) {
 	var syms []string
-	for i := 0; i < 3*coderCacheSize; i++ {
+	for i := 0; i < 48; i++ {
 		syms = append(syms, fmt.Sprintf("s%02d", i))
 	}
 	a := New(syms...)

@@ -26,8 +26,9 @@ import (
 // function whose name ends in "Plain" (the kernel naming convention) must
 // carry the directive, and every implementation of the coded batch kernels
 // (StepBatch, SelectBatch, SimulateSegmentCoded, the EL/AL wrappers' window
-// loop stepWindows, the byte lexers' scan loops lexXML and lexTerm and
-// their batch fill fillBatch, and the buffered stream's drain and Recode)
+// loop stepWindows, the byte lexers' scan loops lexXML and lexTerm,
+// their batch fill fillBatch and its events-mode twin fillEvents over any
+// other Source, and the buffered stream's drain and Recode)
 // must be annotated either
 // //treelint:plain or //treelint:partial with a reason — the
 // bounds-check-elimination gate (cmd/bcegate) derives its target set from
@@ -51,6 +52,7 @@ var batchKernels = map[string]bool{
 	"lexXML":               true,
 	"lexTerm":              true,
 	"fillBatch":            true,
+	"fillEvents":           true,
 	"drain":                true,
 	"Recode":               true,
 }

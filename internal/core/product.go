@@ -264,7 +264,7 @@ func (p *ProductDFA) CompiledProduct() (tab []int32, masks []uint64, anyAcc []bo
 // which members selected each hit.
 type ProductEvaluator struct {
 	p     *ProductDFA
-	res   *alphabet.Resolver
+	res   alphabet.Resolver
 	state int32
 }
 

@@ -87,7 +87,7 @@ type StacklessEvaluator struct {
 	// is sound for every well-formed continuation.
 	cDec []int32
 
-	res *alphabet.Resolver
+	res alphabet.Resolver
 
 	// Runtime configuration.
 	state    int // candidate state p (equals the true state after opens)

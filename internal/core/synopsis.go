@@ -97,7 +97,7 @@ type SynopsisMachine struct {
 	openMemo  [][]int // [id][sym]
 	closeMemo [][]int // [id][sym] (markup) or [id][0] (blind)
 
-	res *alphabet.Resolver
+	res alphabet.Resolver
 
 	// Runtime.
 	cur         int // state id or synTop/synBot

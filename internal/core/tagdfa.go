@@ -187,7 +187,7 @@ func NewTermTagDFA(alph *alphabet.Alphabet, n, start int) *TagDFA {
 // poison the run.
 type tagEvaluator struct {
 	t        *TagDFA
-	res      *alphabet.Resolver
+	res      alphabet.Resolver
 	state    int
 	poisoned bool
 	// dec caches the automaton's compiled earliest flags after the first

@@ -48,48 +48,29 @@ func (b *Buffer) Release() {
 	b.Events, b.Names = nil, nil
 }
 
-// ReadBuffer drains src into a Buffer. An XMLScanner or TermScanner
-// (guarded by CheckBalance or not) fills it straight from its lexer, whose
-// local ids are the buffer's; any other Source interns each label through
-// the same intern table. As with ReadAll, an error comes back together with
-// the events read before it, and io.EOF is not an error.
+// ReadBuffer drains src into a Buffer through the fill a Batcher reads
+// (lexer.go) with the identity remap: an XMLScanner or TermScanner (guarded
+// by CheckBalance or not) lexes straight into it, and any other Source is
+// interned event by event into the same table. As with ReadAll, an error
+// comes back together with the events read before it, and io.EOF is not an
+// error.
 func ReadBuffer(src Source) (*Buffer, error) {
-	if ls, ok := src.(lexSource); ok {
-		if lx := ls.lexerOf(); lx.lexState != nil && lx.vi == lx.vn {
-			lx.setCoder(nil)
-			events, err := lx.drain(AcquireEvents(drainInitial)[:0])
-			b := &Buffer{Events: events, Names: append([]string(nil), lx.names...)}
-			lx.release()
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-	}
-	s := acquireLexState()
-	defer s.put()
-	var events []CodedEvent
-	var err error
+	n := drainInitial
 	if ss, ok := src.(*SliceSource); ok {
-		events = AcquireEvents(len(ss.events) - ss.pos)[:0]
-		for _, e := range ss.events[ss.pos:] {
-			events = append(events, CodedEvent{Sym: alphabet.Sym(s.lookup(e.Label)), Kind: e.Kind})
-		}
-		ss.pos = len(ss.events)
-	} else {
-		events = AcquireEvents(0)
-		for {
-			var e Event
-			if e, err = src.Next(); err != nil {
-				break
-			}
-			events = append(events, CodedEvent{Sym: alphabet.Sym(s.lookup(e.Label)), Kind: e.Kind})
-		}
-		if err == io.EOF {
-			err = nil
-		}
+		// Room for one event past the rest, so the fill meets the end
+		// without growing the array.
+		n = len(ss.events) - ss.pos + 1
 	}
-	return &Buffer{Events: events, Names: append([]string(nil), s.names...)}, err
+	var own lexer
+	lx := streamLexer(src, &own)
+	lx.setAlphabet(nil)
+	events, err := lx.drain(AcquireEvents(n)[:0])
+	b := &Buffer{Events: events, Names: append([]string(nil), lx.names...)}
+	lx.release()
+	if err == io.EOF {
+		err = nil
+	}
+	return b, err
 }
 
 // BufferEvents interns an event slice into a Buffer: the adapter through
@@ -116,17 +97,27 @@ func (b *Buffer) Event(i int) Event {
 type Remap []alphabet.Sym
 
 // Remap codes the buffer's labels under alphabet a, one lookup per
-// distinct label, as a Coder made for a now would: a label's id, or the
-// unknown sentinel Sym(a.Size()). Each name is coded once, so a Coder's
-// caches would only add work.
+// distinct label.
 func (b *Buffer) Remap(a *alphabet.Alphabet) Remap {
-	r := make(Remap, len(b.Names))
-	unknown := alphabet.Sym(a.Size())
-	for id, name := range b.Names {
-		r[id] = unknown
-		if s, ok := a.ID(name); ok {
-			r[id] = alphabet.Sym(s)
+	return make(Remap, 0, len(b.Names)).Extend(b.Names, a)
+}
+
+// Extend codes names[len(r):] — the labels a stream interned since r was
+// last extended — under alphabet a and returns r covering all of names:
+// each label's id, or the unknown sentinel Sym(a.Size()) for one outside
+// a. A nil a is the identity: each local id codes to itself. The lexers
+// extend their remap through it once per new label, and a machine reading
+// local ids (a Buffer, an identity Batcher) extends its own.
+func (r Remap) Extend(names []string, a *alphabet.Alphabet) Remap {
+	for id := len(r); id < len(names); id++ {
+		sym := alphabet.Sym(id)
+		if a != nil {
+			sym = alphabet.Sym(a.Size())
+			if s, ok := a.ID(names[id]); ok {
+				sym = alphabet.Sym(s)
+			}
 		}
+		r = append(r, sym)
 	}
 	return r
 }
@@ -154,7 +145,7 @@ func (r Remap) Recode(dst, src []CodedEvent) int {
 	return len(src) - closes
 }
 
-// drain lexes the rest of the stream onto dst, growing it as needed, and
+// drain fills the rest of the stream onto dst, growing it as needed, and
 // returns it with the terminal error (io.EOF at a clean end). The caller
 // sets the identity remap first, so each event's Sym is its local id.
 //
@@ -162,7 +153,7 @@ func (r Remap) Recode(dst, src []CodedEvent) int {
 func (l *lexer) drain(dst []CodedEvent) ([]CodedEvent, error) {
 	ids := l.ids
 	for {
-		if cap(dst)-len(dst) < len(ids) {
+		if len(dst) == cap(dst) {
 			//treelint:partial growing the buffer: it doubles, so amortized O(1) per event
 			grown := make([]CodedEvent, len(dst), 2*cap(dst)+len(ids))
 			copy(grown, dst)

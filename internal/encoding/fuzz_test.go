@@ -80,6 +80,47 @@ func FuzzJSONSource(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc string) {
 		// Must not panic; errors are fine.
 		_, _ = Decode(NewJSONSource(strings.NewReader(doc)))
+		// A Batcher over the same bytes delivers what ReadAll reads, coded
+		// as CodeEvents codes it, with the same Open counts, labels and
+		// terminal error.
+		want, wantErr := ReadAll(NewJSONSource(strings.NewReader(doc)))
+		coder := alphabet.NewCoder(alphabet.New("$", "item", "a", "k"))
+		ref := CodeEvents(coder, want, nil)
+		b := NewBatcher(NewJSONSource(strings.NewReader(doc)), coder, 7)
+		var got []CodedEvent
+		var labels []string
+		opens, wantOpens := 0, 0
+		var err error
+		for err == nil {
+			var batch []CodedEvent
+			var n int
+			batch, n, err = b.NextBatch()
+			got = append(got, batch...)
+			for i := range batch {
+				labels = append(labels, b.BatchLabel(i))
+			}
+			opens += n
+		}
+		if err == io.EOF {
+			err = nil
+		}
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("Batcher error %v, ReadAll error %v", err, wantErr)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("Batcher read %d events, ReadAll %d", len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] || labels[i] != want[i].Label {
+				t.Fatalf("event %d: Batcher %+v %q, ReadAll %+v %q", i, got[i], labels[i], ref[i], want[i].Label)
+			}
+			if want[i].Kind == Open {
+				wantOpens++
+			}
+		}
+		if opens != wantOpens {
+			t.Fatalf("Batcher counted %d Opens, ReadAll read %d", opens, wantOpens)
+		}
 	})
 }
 

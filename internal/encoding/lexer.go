@@ -20,6 +20,12 @@ import (
 // these batches as they are; XMLScanner.Next and TermScanner.Next read the
 // same batches back as Events. The O(1) balance guard of CheckBalance runs
 // inside the scan loop.
+//
+// Every other Source is read by the same lexer type in a third mode: its
+// events, read through a window of events as bytes are read through the
+// byte window, are interned into the same table and coded through the
+// same remap by fillEvents, so a stream of any origin becomes a Sym one
+// way.
 
 const (
 	// windowSize is the lexer's byte window.
@@ -77,20 +83,22 @@ var cdataOpen = []byte("[CDATA[")
 var termSkip = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, ',': true}
 
 // lexState is a lexer's pooled per-stream memory: the window, the intern
-// table, the remap and the Source view's batch.
+// table, the consuming alphabet with its remap, the Source view's batch
+// and the events mode's event window.
 type lexState struct {
-	buf   []byte           // the window
-	names []string         // local id → label; id 0 is the empty label of term Closes
-	one   [256]int32       // single-byte label → local id, 0 if not interned
-	index map[string]int32 // longer label → local id
-	remap []alphabet.Sym
-	view  []CodedEvent
-	ids   []int32
+	buf    []byte           // the window; nil until a byte lexer needs it
+	names  []string         // local id → label; id 0 is the empty label of term Closes
+	one    [256]int32       // single-byte label → local id, 0 if not interned
+	index  map[string]int32 // longer label → local id
+	alph   *alphabet.Alphabet
+	remap  Remap // local id → code under alph (nil alph: the identity)
+	view   []CodedEvent
+	ids    []int32
+	events []Event // events mode's window buffer; nil until needed
 }
 
 var lexPool = sync.Pool{New: func() any {
 	return &lexState{
-		buf:   make([]byte, windowSize),
 		index: make(map[string]int32),
 		view:  make([]CodedEvent, viewBatch),
 		ids:   make([]int32, viewBatch),
@@ -104,9 +112,10 @@ type lexer struct {
 	*lexState // nil once released
 
 	r     io.Reader
+	src   Source  // events mode: the Source read by fillEvents, nil for bytes
+	win   []Event // events mode: events pulled from src, not yet filled
 	term  bool
-	guard bool            // CheckBalance: enforce tag balance inline
-	coder *alphabet.Coder // nil: the remap is the identity (Source view)
+	guard bool // CheckBalance: enforce tag balance inline
 
 	pos, end int
 	base     int64
@@ -140,11 +149,11 @@ type lexSource interface {
 func (l *lexer) lexerOf() *lexer { return l }
 
 // acquireLexState takes a lexState from the pool with an empty intern
-// table: only local id 0, the empty label.
+// table, only local id 0 (the empty label), and the identity remap.
 func acquireLexState() *lexState {
 	s := lexPool.Get().(*lexState)
 	s.names = append(s.names[:0], "")
-	s.remap = append(s.remap[:0], 0)
+	s.alph, s.remap = nil, append(s.remap[:0], 0)
 	s.one = [256]int32{}
 	return s
 }
@@ -157,12 +166,31 @@ func (s *lexState) put() {
 	}
 	clear(s.names)
 	clear(s.index)
+	clear(s.events)
+	s.alph = nil
 	lexPool.Put(s)
 }
 
 // init readies l to scan r with pooled state.
 func (l *lexer) init(r io.Reader, term bool) {
 	l.lexState, l.r, l.term = acquireLexState(), r, term
+	if l.buf == nil {
+		l.buf = make([]byte, windowSize)
+	}
+}
+
+// streamLexer returns the lexer that reads src as coded batches: a scanner's
+// own, unless its Source view holds undelivered events or its state went
+// back to the pool, else l, reset to read src's events through fillEvents
+// with pooled state.
+func streamLexer(src Source, l *lexer) *lexer {
+	if ls, ok := src.(lexSource); ok {
+		if lx := ls.lexerOf(); lx.lexState != nil && lx.vi == lx.vn {
+			return lx
+		}
+	}
+	*l = lexer{lexState: acquireLexState(), src: src}
+	return l
 }
 
 // release returns the pooled state.
@@ -180,21 +208,10 @@ func (l *lexer) release() {
 
 var errReleased = errors.New("encoding: scanner read after its batcher was released")
 
-// setCoder makes the remap code labels with c (nil: the identity).
-func (l *lexer) setCoder(c *alphabet.Coder) {
-	l.coder = c
-	l.remap = l.remap[:0]
-	for i, name := range l.names {
-		l.remap = append(l.remap, l.code(i, name))
-	}
-}
-
-// code is the remap entry of label name, local id id.
-func (l *lexer) code(id int, name string) alphabet.Sym {
-	if l.coder == nil {
-		return alphabet.Sym(id)
-	}
-	return l.coder.Code(name)
+// setAlphabet makes the remap code labels under a (nil: the identity).
+func (s *lexState) setAlphabet(a *alphabet.Alphabet) {
+	s.alph = a
+	s.remap = s.remap[:0].Extend(s.names, a)
 }
 
 // id returns the local id of label, or 0 if the stream has not interned
@@ -208,20 +225,11 @@ func (s *lexState) id(label []byte) int32 {
 	return s.index[string(label)]
 }
 
-// intern adds label as the stream's next local id.
+// intern enters name into the intern table as the stream's next local id
+// and extends the remap to code it.
 //
 //treelint:partial new labels: each distinct label is interned once per stream
-func (l *lexer) intern(label []byte) int32 {
-	name := string(label)
-	id := l.add(name)
-	l.remap = append(l.remap, l.code(int(id), name))
-	return id
-}
-
-// add enters name into the intern table as the next local id.
-//
-//treelint:partial new labels: each distinct label is interned once per stream
-func (s *lexState) add(name string) int32 {
+func (s *lexState) intern(name string) int32 {
 	id := int32(len(s.names))
 	s.names = append(s.names, name)
 	if len(name) == 1 {
@@ -229,22 +237,7 @@ func (s *lexState) add(name string) int32 {
 	} else {
 		s.index[name] = id
 	}
-	return id
-}
-
-// lookup is id and intern for a label that is already a string, the
-// path of Sources other than the lexers: one load for a single-byte
-// label, one map lookup otherwise. The empty label is local id 0.
-func (s *lexState) lookup(label string) int32 {
-	var id int32
-	if len(label) == 1 {
-		id = s.one[label[0]]
-	} else {
-		id = s.index[label]
-	}
-	if id == 0 && label != "" {
-		id = s.add(label)
-	}
+	s.remap = s.remap.Extend(s.names, s.alph)
 	return id
 }
 
@@ -342,7 +335,7 @@ lex:
 			}
 			if tag = l.id(w[mark:i]); tag == 0 {
 				//treelint:partial new label: interned once per distinct label and stream
-				tag = l.intern(w[mark:i])
+				tag = l.intern(string(w[mark:i]))
 				remap = l.remap
 			}
 			pos = i
@@ -538,7 +531,7 @@ lex:
 			}
 			if id = l.id(w[mark:end]); id == 0 {
 				//treelint:partial new label: interned once per distinct label and stream
-				id = l.intern(w[mark:end])
+				id = l.intern(string(w[mark:end]))
 				remap = l.remap
 			}
 			pos, st, kind = end+1, lText, Open
@@ -571,10 +564,13 @@ lex:
 // fails, or — eager — the window runs dry after at least one event (so a
 // Source view never blocks on input it does not need yet). It returns the
 // events written and the terminal error: io.EOF at a clean end, nil while
-// the stream goes on.
+// the stream goes on. In events mode it is fillEvents.
 //
 //treelint:plain
 func (l *lexer) fillBatch(dst []CodedEvent, ids []int32, eager bool) (int, error) {
+	if l.src != nil {
+		return l.fillEvents(dst, ids)
+	}
 	n := 0
 	for l.err == nil && uint(n) <= uint(len(dst)) && uint(n) <= uint(len(ids)) {
 		if l.term {
@@ -594,6 +590,91 @@ func (l *lexer) fillBatch(dst []CodedEvent, ids []int32, eager bool) (int, error
 		l.refill()
 	}
 	return n, l.err
+}
+
+// fillEvents is fillBatch over the events of a Source that is not a byte
+// lexer, read through a window of events as the byte lexers read bytes:
+// each label takes one load (single byte) or one map lookup in the intern
+// table, a new one is interned, and the Sym is one load from the remap.
+// The Source's error (io.EOF at its end) is terminal once the window
+// drains.
+//
+//treelint:plain
+func (l *lexer) fillEvents(dst []CodedEvent, ids []int32) (int, error) {
+	n := 0
+	for l.err == nil && uint(n) < uint(len(dst)) && uint(n) <= uint(len(ids)) {
+		if len(l.win) == 0 {
+			//treelint:partial refill: one pull per window of events, not per event
+			l.pull()
+			continue
+		}
+		all, d, is := l.win, dst[n:], ids[n:]
+		k := len(all)
+		if k > len(d) {
+			k = len(d)
+		}
+		if k > len(is) {
+			k = len(is)
+		}
+		win := all[:k]
+		d, is = d[:k], is[:k]
+		remap, depth := l.remap, l.depth
+		for i := range win {
+			label, kind := win[i].Label, win[i].Kind
+			var id int32
+			if len(label) == 1 {
+				id = l.one[label[0]]
+			} else {
+				id = l.index[label]
+			}
+			if id == 0 && label != "" {
+				//treelint:partial new label: interned once per distinct label and stream
+				id = l.intern(label)
+				remap = l.remap
+			}
+			sym := alphabet.Sym(0)
+			if j := int(id); uint(j) < uint(len(remap)) {
+				sym = remap[j]
+			}
+			d[i] = CodedEvent{Sym: sym, Kind: kind}
+			is[i] = id
+			depth += 1 - 2*int(kind)
+		}
+		l.win, l.depth = all[k:], depth
+		n += k
+	}
+	return n, l.err
+}
+
+// pull refills the event window of events mode. A *SliceSource hands over
+// the rest of its slice, read in place; any other Source is read through
+// Next into the pooled event buffer, up to its size or the Source's
+// error, which is held until the window drains.
+//
+//treelint:partial refill: one pull per window of events, not per event
+func (l *lexer) pull() {
+	if l.rerr != nil {
+		l.err = l.rerr
+		return
+	}
+	if ss, ok := l.src.(*SliceSource); ok {
+		l.win, l.rerr = ss.events[ss.pos:], io.EOF
+		ss.pos = len(ss.events)
+		return
+	}
+	if l.events == nil {
+		l.events = make([]Event, viewBatch)
+	}
+	win := l.events[:0]
+	for len(win) < cap(win) {
+		e, err := l.src.Next()
+		if err != nil {
+			l.rerr = err
+			break
+		}
+		win = append(win, e)
+	}
+	l.win = win
 }
 
 // finish records how the input ended: cleanly between tags (subject to the

@@ -23,7 +23,7 @@ import (
 // per-branch recovery from foreign labels.
 type oldStack struct {
 	d     *dfa.DFA
-	res   *alphabet.Resolver
+	res   alphabet.Resolver
 	state int
 	alive bool
 	stk   []int

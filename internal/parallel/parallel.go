@@ -38,9 +38,10 @@ func SplitPoints(n, chunks int) []int {
 	return cuts
 }
 
-// sanitizeCuts sorts, bounds and deduplicates explicit cut positions —
-// fuzzers hand in arbitrary ints.
-func sanitizeCuts(cuts []int, n int) []int {
+// SanitizeCuts sorts, bounds and deduplicates explicit cut positions —
+// fuzzers hand in arbitrary ints — keeping those strictly inside (0, n).
+// The product engine (internal/product) cleans its cuts through it too.
+func SanitizeCuts(cuts []int, n int) []int {
 	out := make([]int, 0, len(cuts))
 	for _, c := range cuts {
 		if c > 0 && c < n {
@@ -183,13 +184,11 @@ func maxDepth(events []encoding.CodedEvent) int {
 func SpeculationViable(events []encoding.Event, chunks int) bool {
 	buf := encoding.BufferEvents(events)
 	defer buf.Release()
-	return BufferSpeculationViable(buf, chunks)
+	return speculationViable(buf, chunks)
 }
 
-// BufferSpeculationViable is SpeculationViable over a buffered stream.
-// Exported so the public API layer reports the same decision the engine
-// makes (Stats.Fallback "speculative" vs "deep").
-func BufferSpeculationViable(buf *encoding.Buffer, chunks int) bool {
+// speculationViable is SpeculationViable over a buffered stream.
+func speculationViable(buf *encoding.Buffer, chunks int) bool {
 	if chunks <= 1 || buf.Len() == 0 {
 		return false
 	}
@@ -250,7 +249,7 @@ func run(p *Pool, m core.Chunkable, buf *encoding.Buffer, cuts []int, planned bo
 	events := buf.Events
 	policy := m.Cut()
 	requested := len(cuts)
-	cuts = sanitizeCuts(cuts, len(events))
+	cuts = SanitizeCuts(cuts, len(events))
 	if c != nil {
 		// Machines batch per-run metrics (register loads, pool hits) in
 		// plain fields; drain them however the run exits.
@@ -407,23 +406,29 @@ func run(p *Pool, m core.Chunkable, buf *encoding.Buffer, cuts []int, planned bo
 	}
 }
 
-// gateCuts applies the speculation-viability gate to an even split: a
-// CutBoundedDepth machine (the speculative pushdown) only fans out when
-// the stream's depth is small against the chunk size; otherwise the cuts
-// are dropped and the run degrades to the sequential (coded) pass. The
-// explicit-cut entry points (SelectAt and friends) bypass this gate on
+// evenCuts is the even split of buf into the given number of chunks, as
+// the run makes it: the interior cuts, and why the run does not fan out
+// on an exact summary, in Stats.Fallback's words — "cutall" (every event
+// is a boundary), "short" (too few events to cut), "deep" (a
+// CutBoundedDepth machine, the speculative pushdown, whose stream is too
+// deep against the chunk size: it only fans out when SpeculationViable
+// holds), "speculative" (it fans out speculatively), or "". The
+// explicit-cut entry points (SelectAt and friends) bypass the gate on
 // purpose — they are the adversarial-boundary harness and must be able to
 // force speculative fan-out on any stream.
-func gateCuts(m core.Chunkable, buf *encoding.Buffer, cuts []int) []int {
-	if len(cuts) > 0 && m.Cut() == core.CutBoundedDepth && !BufferSpeculationViable(buf, len(cuts)+1) {
-		return nil
+func evenCuts(m core.Chunkable, buf *encoding.Buffer, chunks int) ([]int, string) {
+	cuts := SplitPoints(buf.Len(), chunks)
+	switch policy := m.Cut(); {
+	case policy == core.CutAll:
+		return nil, "cutall"
+	case len(cuts) == 0:
+		return nil, "short"
+	case policy != core.CutBoundedDepth:
+		return cuts, ""
+	case !speculationViable(buf, len(cuts)+1):
+		return nil, "deep"
 	}
-	return cuts
-}
-
-// evenCuts is the gated even split of buf into the given number of chunks.
-func evenCuts(m core.Chunkable, buf *encoding.Buffer, chunks int) []int {
-	return gateCuts(m, buf, SplitPoints(buf.Len(), chunks))
+	return cuts, "speculative"
 }
 
 // SelectBuffer evaluates a node-selecting machine over a buffered stream in
@@ -431,16 +436,20 @@ func evenCuts(m core.Chunkable, buf *encoding.Buffer, chunks int) []int {
 // chunking metrics into a collector (nil: zero overhead; see
 // internal/obs). chunks <= 1 is a planned whole-machine run — the
 // multi-query schedule, which gives each machine a worker of its own — and
-// not a sequential fallback.
-func SelectBuffer(p *Pool, m core.Chunkable, buf *encoding.Buffer, chunks int, c *obs.Collector, fn func(core.Match)) {
-	run(p, m, buf, evenCuts(m, buf, chunks), chunks <= 1, c, countingFn(c, fn))
+// not a sequential fallback. It returns the chunks the run made and the
+// fallback it took (see evenCuts).
+func SelectBuffer(p *Pool, m core.Chunkable, buf *encoding.Buffer, chunks int, c *obs.Collector, fn func(core.Match)) (int, string) {
+	cuts, fallback := evenCuts(m, buf, chunks)
+	run(p, m, buf, cuts, chunks <= 1, c, countingFn(c, fn))
+	return len(cuts) + 1, fallback
 }
 
 // RecognizeBuffer is SelectBuffer for a tree-language machine: it returns
-// the final acceptance.
-func RecognizeBuffer(p *Pool, m core.Chunkable, buf *encoding.Buffer, chunks int, c *obs.Collector) bool {
-	run(p, m, buf, evenCuts(m, buf, chunks), chunks <= 1, c, nil)
-	return m.Accepting()
+// the final acceptance, with the chunks and the fallback.
+func RecognizeBuffer(p *Pool, m core.Chunkable, buf *encoding.Buffer, chunks int, c *obs.Collector) (bool, int, string) {
+	cuts, fallback := evenCuts(m, buf, chunks)
+	run(p, m, buf, cuts, chunks <= 1, c, nil)
+	return m.Accepting(), len(cuts) + 1, fallback
 }
 
 // The entry points below take an event slice, intern it into a Buffer
@@ -460,7 +469,8 @@ func Select(p *Pool, m core.Chunkable, events []encoding.Event, chunks int, fn f
 func SelectObs(p *Pool, m core.Chunkable, events []encoding.Event, chunks int, c *obs.Collector, fn func(core.Match)) {
 	buf := encoding.BufferEvents(events)
 	defer buf.Release()
-	run(p, m, buf, evenCuts(m, buf, chunks), false, c, countingFn(c, fn))
+	cuts, _ := evenCuts(m, buf, chunks)
+	run(p, m, buf, cuts, false, c, countingFn(c, fn))
 }
 
 // countingFn keeps Matches counted even for callers that discard matches —
@@ -505,7 +515,8 @@ func Recognize(p *Pool, m core.Chunkable, events []encoding.Event, chunks int) b
 func RecognizeObs(p *Pool, m core.Chunkable, events []encoding.Event, chunks int, c *obs.Collector) bool {
 	buf := encoding.BufferEvents(events)
 	defer buf.Release()
-	run(p, m, buf, evenCuts(m, buf, chunks), false, c, nil)
+	cuts, _ := evenCuts(m, buf, chunks)
+	run(p, m, buf, cuts, false, c, nil)
 	return m.Accepting()
 }
 

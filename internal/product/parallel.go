@@ -2,7 +2,6 @@ package product
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"time"
 
@@ -146,7 +145,7 @@ func SelectBuffer(pool *parallel.Pool, pd *core.ProductDFA, buf *encoding.Buffer
 // with planned marking a run without cuts that the caller chose.
 func selectAt(pool *parallel.Pool, pd *core.ProductDFA, buf *encoding.Buffer, cuts []int, planned bool, c *obs.Collector, fn func(bit int, m core.Match)) {
 	n := buf.Len()
-	clean := sanitizeCuts(cuts, n)
+	clean := parallel.SanitizeCuts(cuts, n)
 	if c != nil {
 		c.Events.Add(int64(pd.Members()) * int64(n))
 		c.RunsByPolicy[core.CutNone].Inc()
@@ -279,25 +278,4 @@ func submit(pool *parallel.Pool, c *obs.Collector, wg *sync.WaitGroup, task func
 		defer wg.Done()
 		task()
 	})
-}
-
-// sanitizeCuts sorts, bounds and deduplicates explicit cut positions, as in
-// internal/parallel: fuzzers hand in arbitrary ints.
-func sanitizeCuts(cuts []int, n int) []int {
-	out := make([]int, 0, len(cuts))
-	for _, c := range cuts {
-		if c > 0 && c < n {
-			out = append(out, c)
-		}
-	}
-	sort.Ints(out)
-	w := 0
-	for i, c := range out {
-		if i > 0 && out[w-1] == c {
-			continue
-		}
-		out[w] = c
-		w++
-	}
-	return out[:w]
 }

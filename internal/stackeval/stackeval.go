@@ -96,7 +96,7 @@ func QL(d *dfa.DFA) *Evaluator {
 // core.Chunkable and core.Snapshotter.
 type Evaluator struct {
 	d   *dfa.DFA
-	res *alphabet.Resolver
+	res alphabet.Resolver
 
 	// Compiled layout (§11): ctab is the (n+1)×(k+1) row-major word
 	// table, words maps a state code to its word, kw is the row stride

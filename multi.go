@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"stackless/internal/alphabet"
 	"stackless/internal/core"
 	"stackless/internal/encoding"
 	"stackless/internal/obs"
@@ -232,39 +231,35 @@ func (m *MultiQuery) plan(evs []core.Evaluator, c *obs.Collector) product.Plan {
 }
 
 // selectBatched is the compiled fast path of the sequential multi-query
-// pass: the document is read in batches; each product group codes the batch
-// once under its shared union alphabet and steps its product whole,
-// demultiplexing hit masks into per-query hit lists, while loose machines
-// code and step individually as before. Matches are replayed from the
-// per-query hit lists in the exact (position, query) order of the per-event
-// pass. An instrumented run stays on this path: the collector's event total
-// flushes once per return, depths observe per open during the replay walk
-// (forced even on hitless batches), and matches count as they emit —
-// counter for counter what the per-event pass reports.
+// pass: the document is read once, in batches of stream-local label ids
+// (an identity Batcher), and each product group and loose machine codes
+// every batch through its own Remap — one alphabet lookup per distinct
+// label, then one load per event — into a shared scratch batch and steps
+// it whole; a product demultiplexes its hit masks into per-query hit
+// lists. Matches are replayed from the per-query hit lists in the exact
+// (position, query) order of the per-event pass. An instrumented run stays
+// on this path: the collector's event total flushes once per return,
+// depths observe per open in a walk over each batch, and matches count as
+// they emit — counter for counter what the per-event pass reports.
 //
 //treelint:partial instrumented runs flush batched counters into obs
 func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, plan product.Plan, c *obs.Collector, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
 	n := len(evs)
 	loose := plan.Loose
 	bes := make([]core.BatchEvaluator, len(loose))
-	coders := make([]*alphabet.Coder, len(loose))
-	coded := make([][]encoding.CodedEvent, len(loose))
+	remaps := make([]encoding.Remap, len(loose))
 	for li, q := range loose {
 		bes[li] = evs[q].(core.BatchEvaluator)
-		coders[li] = alphabet.NewCoder(bes[li].CodeAlphabet())
 	}
 	groups := plan.Groups
 	gevs := make([]*core.ProductEvaluator, len(groups))
-	gcoders := make([]*alphabet.Coder, len(groups))
-	gcoded := make([][]encoding.CodedEvent, len(groups))
+	gremaps := make([]encoding.Remap, len(groups))
 	ghits := make([][]int32, len(groups))
 	gmasks := make([][]uint64, len(groups))
 	for gi, g := range groups {
 		gevs[gi] = g.Machine.Evaluator()
-		gcoders[gi] = alphabet.NewCoder(g.Machine.Alphabet())
 	}
 	hits := make([][]int32, n)
-	next := make([]int, n)
 	if c != nil {
 		// Every machine steps on every event, as in the per-event pass and
 		// the parallel fan-out — a product steps once but counts for each
@@ -274,41 +269,48 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 			flushMachines(evs)
 		}()
 	}
-	batch := make([]encoding.Event, 0, encoding.DefaultBatch)
+	var merge hitMerge
+	var batch, coded []encoding.CodedEvent
+	emit := func(q, i int, mt Match) {
+		stats.Matches[q]++
+		if c != nil {
+			c.Matches.Inc()
+			// Batched emission: decided at batch index i, confirmed after
+			// index len(batch)-1.
+			c.Latency.Observe(len(batch) - 1 - i)
+		}
+		if fn != nil {
+			fn(MultiMatch{Query: q, Match: mt})
+		}
+	}
+	b := encoding.AcquireBatcher(src, nil)
+	defer b.Release()
 	pos, depth := -1, 0
 	for {
-		batch = batch[:0]
-		opens := 0
-		var srcErr error
-		for len(batch) < encoding.DefaultBatch {
-			e, err := src.Next()
-			if err != nil {
-				srcErr = err
-				break
-			}
-			if e.Kind == encoding.Open {
-				opens++
-			}
-			batch = append(batch, e)
-		}
+		var opens int
+		var err error
+		batch, opens, err = b.NextBatch()
 		if len(batch) > 0 {
 			stats.Events += len(batch)
-			anyHits := false
-			for li := range bes {
-				q := loose[li]
-				coded[li] = encoding.CodeEvents(coders[li], batch, coded[li][:0])
-				hits[q] = bes[li].SelectBatch(coded[li], hits[q][:0])
-				next[q] = 0
-				anyHits = anyHits || len(hits[q]) > 0
+			names := b.Names()
+			if cap(coded) < len(batch) {
+				coded = make([]encoding.CodedEvent, len(batch))
 			}
-			for gi := range gevs {
+			coded = coded[:len(batch)]
+			for li, be := range bes {
+				q := loose[li]
+				remaps[li] = remaps[li].Extend(names, be.CodeAlphabet())
+				remaps[li].Recode(coded, batch)
+				hits[q] = be.SelectBatch(coded, hits[q][:0])
+			}
+			for gi, gev := range gevs {
 				g := &groups[gi]
 				for _, q := range g.Queries {
 					hits[q] = hits[q][:0]
-					next[q] = 0
 				}
-				gcoded[gi] = encoding.CodeEvents(gcoders[gi], batch, gcoded[gi][:0])
-				ghits[gi], gmasks[gi] = gevs[gi].SelectBatchMasks(gcoded[gi], ghits[gi][:0], gmasks[gi][:0])
+				gremaps[gi] = gremaps[gi].Extend(names, g.Machine.Alphabet())
+				gremaps[gi].Recode(coded, batch)
+				ghits[gi], gmasks[gi] = gev.SelectBatchMasks(coded, ghits[gi][:0], gmasks[gi][:0])
 				words := g.Machine.MaskWords()
 				for h, j := range ghits[gi] {
 					for wi, word := range gmasks[gi][h*words : (h+1)*words] {
@@ -316,62 +318,46 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 							q := g.Queries[wi*64+bits.TrailingZeros64(word)]
 							word &= word - 1
 							hits[q] = append(hits[q], j)
-							anyHits = true
 						}
 					}
 				}
 			}
-			if !anyHits && c == nil {
-				pos += opens
-				depth += 2*opens - len(batch)
-			} else {
-				for j := range batch {
-					if batch[j].Kind != encoding.Open {
-						depth--
-						continue
-					}
-					pos++
-					depth++
-					if c != nil {
-						c.Depth.Observe(depth)
-					}
-					for q := 0; q < n; q++ {
-						if next[q] < len(hits[q]) && hits[q][next[q]] == int32(j) {
-							next[q]++
-							stats.Matches[q]++
-							if c != nil {
-								c.Matches.Inc()
-								// Batched emission: decided at batch index
-								// j, confirmed after index len(batch)-1.
-								c.Latency.Observe(len(batch) - 1 - j)
-							}
-							if fn != nil {
-								fn(MultiMatch{Query: q, Match: Match{Pos: pos, Depth: depth, Label: batch[j].Label}})
-							}
-						}
+			merge.emit(batch, names, hits, pos, depth, emit)
+			if c != nil {
+				d := depth
+				for _, e := range batch {
+					if e.Kind == encoding.Open {
+						d++
+						c.Depth.Observe(d)
+					} else {
+						d--
 					}
 				}
 			}
+			pos += opens
+			depth += 2*opens - len(batch)
 		}
-		if srcErr == io.EOF {
+		if err == io.EOF {
 			return stats, nil
 		}
-		if srcErr != nil {
-			return stats, srcErr
+		if err != nil {
+			return stats, err
 		}
 	}
 }
 
 // selectParallel reads the stream once into a buffer, runs the product
 // groups and the loose queries over it on the shared worker pool, then
-// merges the per-query match streams back into the exact emission order of
+// merges the per-query hit lists back into the exact emission order of
 // the sequential pass (position, then query index). The schedule gives
 // each machine max(1, workers ÷ machines) chunks: a set with at least as
 // many machines as workers runs each machine whole, as one leaf task on
 // the pool; a smaller set also chunks each machine, its chunks the leaf
 // tasks. A product group is one run for its whole member set
-// (internal/product); each query of the group owns its own demuxed stream,
-// so the merge below is oblivious to how a stream was produced.
+// (internal/product); each query of the group owns its own demuxed hit
+// list, so the merge below is oblivious to how a list was produced. A hit
+// is kept as its event index, 2·Pos + 1 − Depth (DESIGN.md §14), and the
+// merge recovers the match from the buffer.
 func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core.Evaluator, plan product.Plan, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
 	c := opt.Collector
 	buf, err := readChunked(src, c, len(evs))
@@ -383,7 +369,7 @@ func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core
 	stats.Workers = opt.Workers
 	pool := parallel.Shared()
 	chunks := max(1, opt.Workers/(len(plan.Groups)+len(plan.Loose)))
-	perQuery := make([][]Match, len(evs))
+	hits := make([][]int32, len(evs))
 	var wg sync.WaitGroup
 	// schedule starts one machine's run: a leaf task on the pool when it
 	// runs whole, else a goroutine that submits its chunks and joins them.
@@ -399,14 +385,14 @@ func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core
 			go task()
 		}
 	}
-	// Each query index belongs to exactly one machine, so appends to
-	// perQuery race with no other task.
+	// Each query index belongs to exactly one machine, so appends to hits
+	// race with no other task.
 	for gi := range plan.Groups {
 		g := plan.Groups[gi]
 		schedule(func() {
 			product.SelectBuffer(pool, g.Machine, buf, chunks, c, func(bit int, cm core.Match) {
 				q := g.Queries[bit]
-				perQuery[q] = append(perQuery[q], Match{Pos: cm.Pos, Depth: cm.Depth, Label: cm.Label})
+				hits[q] = append(hits[q], int32(2*cm.Pos+1-cm.Depth))
 			})
 		})
 	}
@@ -416,37 +402,91 @@ func (m *MultiQuery) selectParallel(src encoding.Source, opt Options, evs []core
 		i, cm := i, evs[i].(core.Chunkable)
 		schedule(func() {
 			parallel.SelectBuffer(pool, cm, buf, chunks, c, func(mt core.Match) {
-				perQuery[i] = append(perQuery[i], Match{Pos: mt.Pos, Depth: mt.Depth, Label: mt.Label})
+				hits[i] = append(hits[i], int32(2*mt.Pos+1-mt.Depth))
 			})
 		})
 	}
 	wg.Wait()
-	var mergeStart time.Time
 	if c != nil {
-		mergeStart = time.Now()
+		mergeStart := time.Now()
 		defer func() {
 			c.Phases[obs.PhaseMerge].Observe(time.Since(mergeStart))
 		}()
 	}
-	next := make([]int, len(perQuery))
-	for {
-		best := -1
-		for qi := range perQuery {
-			if next[qi] >= len(perQuery[qi]) {
-				continue
-			}
-			if best < 0 || perQuery[qi][next[qi]].Pos < perQuery[best][next[best]].Pos {
-				best = qi
-			}
-		}
-		if best < 0 {
-			return stats, nil
-		}
-		mt := perQuery[best][next[best]]
-		next[best]++
-		stats.Matches[best]++
+	var merge hitMerge
+	merge.emit(buf.Events, buf.Names, hits, -1, 0, func(q, _ int, mt Match) {
+		stats.Matches[q]++
 		if fn != nil {
-			fn(MultiMatch{Query: best, Match: mt})
+			fn(MultiMatch{Query: q, Match: mt})
 		}
+	})
+	return stats, nil
+}
+
+// hitMerge merges per-query hit lists into the emission order of the
+// sequential pass — ascending position, then query index — through a
+// binary heap of the lists' heads: O(log queries) per match, with no scan
+// over every query.
+type hitMerge struct {
+	heap []int // queries with hits left, a min-heap on (next hit, query)
+	next []int // per query, the index of its first unmerged hit
+}
+
+// emit reports through fn the matches in hits — per query, the ascending
+// indices into events of the Opens it selected — in (position, query)
+// order, with each hit's index. pos and depth are the position and depth
+// before events[0]; one walk up to the last hit recovers each match's,
+// and its label is names[Sym], the events holding stream-local label ids.
+func (h *hitMerge) emit(events []encoding.CodedEvent, names []string, hits [][]int32, pos, depth int, fn func(q, i int, mt Match)) {
+	if cap(h.next) < len(hits) {
+		h.next = make([]int, len(hits))
+	}
+	h.heap, h.next = h.heap[:0], h.next[:len(hits)]
+	clear(h.next)
+	for q := range hits {
+		if len(hits[q]) > 0 {
+			h.heap = append(h.heap, q)
+		}
+	}
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(hits, i)
+	}
+	k, closes := 0, 0 // events walked, Closes among them
+	for len(h.heap) > 0 {
+		q := h.heap[0]
+		i := int(hits[q][h.next[q]])
+		if h.next[q]++; h.next[q] == len(hits[q]) {
+			last := len(h.heap) - 1
+			h.heap[0] = h.heap[last]
+			h.heap = h.heap[:last]
+		}
+		h.down(hits, 0)
+		for ; k <= i && k < len(events); k++ {
+			closes += int(events[k].Kind)
+		}
+		o := k - closes // Opens up to and including the hit
+		fn(q, i, Match{Pos: pos + o, Depth: depth + o - closes, Label: names[events[i].Sym]})
+	}
+}
+
+// down restores the heap order below slot i.
+func (h *hitMerge) down(hits [][]int32, i int) {
+	less := func(a, b int) bool {
+		x, y := hits[a][h.next[a]], hits[b][h.next[b]]
+		return x < y || x == y && a < b
+	}
+	for {
+		l := 2*i + 1
+		if l >= len(h.heap) {
+			return
+		}
+		if r := l + 1; r < len(h.heap) && less(h.heap[r], h.heap[l]) {
+			l = r
+		}
+		if !less(h.heap[l], h.heap[i]) {
+			return
+		}
+		h.heap[i], h.heap[l] = h.heap[l], h.heap[i]
+		i = l
 	}
 }

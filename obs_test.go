@@ -1,8 +1,10 @@
 package stackless
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"stackless/internal/encoding"
 	"stackless/internal/gen"
 	"stackless/internal/obs"
+	"stackless/internal/tree"
 )
 
 // The overhead contract of the observability layer (DESIGN.md §9): with no
@@ -64,6 +67,23 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 			t.Errorf("%s: SelectEarliest with nil collector allocates %.1f times per run, want 0", name, allocs)
 		}
 
+		// The coded driver: a pooled Batcher over a pooled intern table.
+		// Under the race detector sync.Pool drops items at random, so only
+		// the unpooled entry points are held to zero there.
+		src.Rewind()
+		if _, err := core.SelectCodedObs(ev, nil, src, nil); err != nil {
+			t.Fatalf("%s coded: %v", name, err)
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			src.Rewind()
+			if _, err := core.SelectCodedObs(ev, nil, src, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("%s: SelectCoded with nil collector allocates %.1f times per run, want 0", name, allocs)
+		}
+
 		rec, _, err := q.machine(semEL, MarkupEncoding, Options{})
 		if err != nil {
 			t.Fatalf("%s EL: %v", name, err)
@@ -81,6 +101,20 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: Recognize with nil collector allocates %.1f times per run, want 0", name, allocs)
+		}
+
+		src.Rewind()
+		if _, _, err := core.RecognizeCodedObs(rec, nil, src); err != nil {
+			t.Fatalf("%s EL coded: %v", name, err)
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			src.Rewind()
+			if _, _, err := core.RecognizeCodedObs(rec, nil, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("%s: RecognizeCoded with nil collector allocates %.1f times per run, want 0", name, allocs)
 		}
 	}
 }
@@ -259,6 +293,8 @@ func TestObsMultiQueryCollector(t *testing.T) {
 // and the same collector Events and Matches. A planned whole-machine run
 // is not a sequential fallback: those runs leave SeqFallbacks and
 // ParallelRuns at 0, while every chunked machine counts one of the two.
+// Wide sets then run over every kind of source, sequentially and at
+// Workers 2, against the tree oracle (wideSetTrial).
 func TestObsMultiQueryScheduleParity(t *testing.T) {
 	withProcs(t, 4)
 	pool := []*Query{
@@ -324,6 +360,122 @@ func TestObsMultiQueryScheduleParity(t *testing.T) {
 			}
 		}
 	}
+	// Wide sets: 24 labels besides the JSON root "$", more than a small
+	// per-member cache holds.
+	wide := []string{"$"}
+	for i := 0; i < 24; i++ {
+		wide = append(wide, fmt.Sprintf("l%02d", i))
+	}
+	widePool := []*Query{
+		MustCompileRegex(".*'l01'", wide),        // registerless
+		MustCompileRegex("'$''l00'.*", wide),     // registerless
+		MustCompileRegex(".*'l19'", wide),        // registerless, a late label
+		MustCompileRegex(".*'l02'.*'l17'", wide), // stackless
+		MustCompileRegex(".*'l05'.*'l03'", wide), // stackless
+		MustCompileRegex(".*'l20''l21'", wide),   // stack
+	}
+	for trial := 0; trial < 6; trial++ {
+		perm := rng.Perm(len(widePool))
+		set := make([]*Query, 2+rng.Intn(len(widePool)-1))
+		for i := range set {
+			set[i] = widePool[perm[i]]
+		}
+		wideSetTrial(t, trial, set, rng, wide)
+	}
+}
+
+// wideSetTrial runs set over one document in XML, term and JSON text and
+// as a SliceSource, sequentially and at Workers 2, and checks every run's
+// matches against the tree oracle. The document's first part, longer
+// than the first batch, uses only l00…l09; the labels l10…l23 are first
+// seen after it, and its last nodes carry labels outside every alphabet
+// (zz0…zz2) below a path '$”l00'.* selects, so a label coded to a symbol
+// it is not would show. A label outside the alphabet poisons the compiled
+// machines for the rest of the stream, so none may follow them for the
+// oracle, which only discards their subtrees, to agree.
+func wideSetTrial(t *testing.T, trial int, set []*Query, rng *rand.Rand, wide []string) {
+	t.Helper()
+	mq, err := NewMultiQuery(set...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := gen.RandomTree(rng, wide[1:11], 2500)
+	tr.Label = encoding.RootLabel
+	tr.Children = append(tr.Children, gen.RandomTree(rng, wide[1:], 300),
+		tree.MustParse("l00(l20(l21),l19,zz0,zz1(zz2(l01)))"))
+	type node struct {
+		label string
+		depth int
+	}
+	var nodes []node
+	tr.Walk(func(n *tree.Node, depth int) bool {
+		nodes = append(nodes, node{n.Label, depth})
+		return true
+	})
+	var want []MultiMatch
+	for qi, q := range set {
+		for _, pos := range tree.SelectQL(q.automaton(), tr) {
+			want = append(want, MultiMatch{Query: qi, Match: Match{Pos: pos, Depth: nodes[pos].depth, Label: nodes[pos].label}})
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Pos < want[j].Pos })
+	var js strings.Builder
+	var writeJSON func(n *tree.Node)
+	writeJSON = func(n *tree.Node) {
+		js.WriteByte('{')
+		for i, c := range n.Children {
+			if i > 0 {
+				js.WriteByte(',')
+			}
+			fmt.Fprintf(&js, "%q:", c.Label)
+			if len(c.Children) == 0 {
+				js.WriteByte('0')
+			} else {
+				writeJSON(c)
+			}
+		}
+		js.WriteByte('}')
+	}
+	writeJSON(tr)
+	xml, term := encoding.XMLString(tr), encoding.TermString(tr)
+	for _, workers := range []int{1, 2} {
+		opt := Options{Workers: workers}
+		for _, run := range []struct {
+			name string
+			sel  func(fn func(MultiMatch)) (MultiStats, error)
+		}{
+			{"xml", func(fn func(MultiMatch)) (MultiStats, error) { return mq.SelectXML(strings.NewReader(xml), opt, fn) }},
+			{"term", func(fn func(MultiMatch)) (MultiStats, error) { return mq.SelectTerm(strings.NewReader(term), opt, fn) }},
+			{"json", func(fn func(MultiMatch)) (MultiStats, error) {
+				return mq.SelectJSON(strings.NewReader(js.String()), opt, fn)
+			}},
+			{"slice", func(fn func(MultiMatch)) (MultiStats, error) {
+				return mq.selectSource(encoding.NewSliceSource(encoding.Markup(tr)), MarkupEncoding, opt, fn)
+			}},
+		} {
+			var got []MultiMatch
+			stats, err := run.sel(func(m MultiMatch) { got = append(got, m) })
+			if err != nil {
+				t.Fatalf("wide trial %d %s workers %d: %v", trial, run.name, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("wide trial %d %s workers %d (%v): %d matches, oracle %d; first difference at %d",
+					trial, run.name, workers, set, len(got), len(want), firstDiff(got, want))
+			}
+			if stats.Events != 2*len(nodes) {
+				t.Fatalf("wide trial %d %s workers %d: %d events, want %d", trial, run.name, workers, stats.Events, 2*len(nodes))
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index at which a and b differ.
+func firstDiff(a, b []MultiMatch) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // TestObsMultiQueryPlannedRunsNotFallbacks pins the machine-level schedule

@@ -106,7 +106,7 @@ func TestReaderErrorsPassThrough(t *testing.T) {
 
 // TestSelectXMLPooledAllocs: the scan state of a sequential SelectXML —
 // the lexer's window, intern table and remap, the coded batch, local-id
-// and hit buffers, the Coder — comes from pools, so a call over a ~300 KB
+// and hit buffers — comes from pools, so a call over a ~300 KB
 // catalog allocates a few KiB whatever the document's size.
 func TestSelectXMLPooledAllocs(t *testing.T) {
 	if raceEnabled {

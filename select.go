@@ -236,8 +236,8 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 		if err != nil {
 			return stats, err
 		}
-		chunkStats(buf, cm, opt, &stats)
-		parallel.SelectBuffer(parallel.Shared(), cm, buf, opt.Workers, c, report)
+		stats.Workers, stats.CutPolicy = opt.Workers, cm.Cut().String()
+		stats.Chunks, stats.Fallback = parallel.SelectBuffer(parallel.Shared(), cm, buf, opt.Workers, c, report)
 		return stats, nil
 	}
 	sequentialStats(opt, &stats)
@@ -264,29 +264,6 @@ func readChunked(src encoding.Source, c *obs.Collector, machines int) (*encoding
 		c.Events.Add(int64(buf.Len()) * int64(machines))
 	}
 	return buf, err
-}
-
-// chunkStats records in stats how a chunk-parallel run of cm over buf
-// splits: workers, cut policy, chunk count and any sequential degradation
-// (Stats.Fallback).
-func chunkStats(buf *encoding.Buffer, cm core.Chunkable, opt Options, stats *Stats) {
-	stats.Workers = opt.Workers
-	policy := cm.Cut()
-	stats.CutPolicy = policy.String()
-	cuts := parallel.SplitPoints(buf.Len(), opt.Workers)
-	switch {
-	case policy == core.CutAll:
-		stats.Fallback = "cutall"
-	case len(cuts) == 0:
-		stats.Fallback = "short"
-	case policy == core.CutBoundedDepth && !parallel.BufferSpeculationViable(buf, len(cuts)+1):
-		stats.Fallback = "deep"
-	default:
-		stats.Chunks = len(cuts) + 1
-		if policy == core.CutBoundedDepth {
-			stats.Fallback = "speculative"
-		}
-	}
 }
 
 // sequentialStats records in stats the "strategy" fallback of a sequential
@@ -339,8 +316,10 @@ func (q *Query) recognize(src encoding.Source, enc Encoding, sem semantics, opt 
 		if err != nil {
 			return false, stats, err
 		}
-		chunkStats(buf, cm, opt, &stats)
-		return parallel.RecognizeBuffer(parallel.Shared(), cm, buf, opt.Workers, opt.Collector), stats, nil
+		stats.Workers, stats.CutPolicy = opt.Workers, cm.Cut().String()
+		var ok bool
+		ok, stats.Chunks, stats.Fallback = parallel.RecognizeBuffer(parallel.Shared(), cm, buf, opt.Workers, opt.Collector)
+		return ok, stats, nil
 	}
 	sequentialStats(opt, &stats)
 	ok, events, err := core.RecognizeCodedObs(ev, opt.Collector, src)
