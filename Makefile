@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci test race vet fmt build lint lint-tables bce allocgate fuzz fuzz-smoke bench bench-coded bench-multi bench-earliest bench-stack bench-coded-gate bench-stack-gate bench-compare clean
+.PHONY: ci test race vet fmt build lint lint-tables bce allocgate fuzz fuzz-smoke bench bench-coded bench-multi bench-earliest bench-stack bench-scan bench-coded-gate bench-stack-gate bench-scan-gate bench-compare clean
 
 # timed runs one lint gate and prints its wall-clock seconds, so a gate
 # that quietly grows past the lint budget (90s total) is visible in every
@@ -122,6 +122,13 @@ bench-earliest:
 bench-stack:
 	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectStack -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson > BENCH_stack.json
 
+# Regenerate the scanner benchmark snapshot: bytes to events through each
+# notation's lexer (XML catalog, term tree, JSON order messages and a ~2 MB
+# JSON document), the layer that takes most of an end-to-end run's time.
+SCANBENCH = XMLScanner|TermScanner|JSONScanner
+bench-scan:
+	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench '$(SCANBENCH)' -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson > BENCH_scan.json
+
 # base_compare runs the benchmarks matching $(1) at revision BASE and in
 # the working tree on the same host, instead of against a snapshot made on
 # another: the base is checked out in a temporary git worktree, the two
@@ -149,6 +156,16 @@ ifeq ($(BASE),)
 	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectStack -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson -compare BENCH_stack.json -tolerance $(TOLERANCE)
 else
 	$(call base_compare,SelectStack)
+endif
+
+# Gate twin of bench-scan: the scanners must stay within TOLERANCE of the
+# committed snapshot (interleaved median-of-N). With BASE=<rev> the
+# comparison is against that revision on this host (base_compare).
+bench-scan-gate:
+ifeq ($(BASE),)
+	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench '$(SCANBENCH)' -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson -compare BENCH_scan.json -tolerance $(TOLERANCE)
+else
+	$(call base_compare,$(SCANBENCH))
 endif
 
 # Same-host comparison of any benchmark suite against a base revision:

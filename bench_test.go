@@ -470,6 +470,72 @@ func BenchmarkXMLScanner(b *testing.B) {
 	}
 }
 
+// drainEvents drains a Source view, returning its event count.
+func drainEvents(src encoding.Source) int {
+	n := 0
+	for {
+		if _, err := src.Next(); err != nil {
+			return n
+		}
+		n++
+	}
+}
+
+// BenchmarkJSONScanner drains JSON through the JSON lexer's Source view:
+// 256 order messages of 0.2–2 KB (the json-small workload's shape), each
+// its own stream, and one ~2 MB document of such orders in an array.
+func BenchmarkJSONScanner(b *testing.B) {
+	rng := rand.New(rand.NewSource(2021))
+	var orders [][]byte
+	for range 256 {
+		orders = append(orders, orderJSON(rng))
+	}
+	var doc bytes.Buffer
+	doc.WriteString(`{"orders":[`)
+	for i := 0; doc.Len() < 2<<20; i++ {
+		if i > 0 {
+			doc.WriteByte(',')
+		}
+		doc.Write(orderJSON(rng))
+	}
+	doc.WriteString("]}")
+	corpora := []struct {
+		name string
+		docs [][]byte
+	}{{"orders", orders}, {"document", [][]byte{doc.Bytes()}}}
+	for _, c := range corpora {
+		b.Run(c.name, func(b *testing.B) {
+			size, events := 0, 0
+			for _, d := range c.docs {
+				size += len(d)
+				events += drainEvents(encoding.NewJSONSource(bytes.NewReader(d)))
+			}
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, d := range c.docs {
+					drainEvents(encoding.NewJSONSource(bytes.NewReader(d)))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+		})
+	}
+}
+
+// BenchmarkTermScanner drains the brace notation of a 100,000-node random
+// tree over {a,b,c} through the term lexer's Source view.
+func BenchmarkTermScanner(b *testing.B) {
+	loadFixtures()
+	doc := []byte(encoding.TermString(fixtures.abcTree))
+	events := drainEvents(encoding.NewTermScanner(bytes.NewReader(doc)))
+	b.SetBytes(int64(len(doc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainEvents(encoding.NewTermScanner(bytes.NewReader(doc)))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+}
+
 // BenchmarkXMLScannerSharedPrefix drains ~2 MB of empty elements over
 // 5,000 distinct 17-byte tag names that share a 12-byte prefix: the label
 // shape (long, same length, common prefix) that no catalog label has, so

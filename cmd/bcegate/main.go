@@ -42,30 +42,12 @@ import (
 	"strings"
 	"time"
 
+	"stackless/internal/analysis"
 	"stackless/internal/diagjson"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// kernelNames are the batch-kernel methods the gate derives its target set
-// from — the step kernels and the EL/AL wrappers' window loop behind them,
-// the byte lexers' scan loops, the batch fill that drives them and its
-// events-mode twin over any other Source, and the buffered stream's drain
-// and per-machine recode; every implementation must be annotated plain or
-// partial.
-var kernelNames = map[string]bool{
-	"StepBatch":            true,
-	"SelectBatch":          true,
-	"SimulateSegmentCoded": true,
-	"stepWindows":          true,
-	"lexXML":               true,
-	"lexTerm":              true,
-	"fillBatch":            true,
-	"fillEvents":           true,
-	"drain":                true,
-	"Recode":               true,
 }
 
 // foundRe matches the check_bce diagnostics the compiler emits.
@@ -242,7 +224,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(kernels) == 0 {
-		return fail(fmt.Errorf("no batch kernels (%s) found under %s", keys(kernelNames), *pkgsFlag))
+		return fail(fmt.Errorf("no batch kernels (%s) found under %s", keys(analysis.BatchKernels), *pkgsFlag))
 	}
 	if *jsonOut {
 		if err := diagjson.Write(stdout, records); err != nil {
@@ -383,7 +365,7 @@ func scanKernels(root, rel string) ([]kernel, error) {
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !kernelNames[fn.Name.Name] {
+			if !ok || fn.Body == nil || !analysis.BatchKernels[fn.Name.Name] {
 				continue
 			}
 			k := kernel{

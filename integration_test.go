@@ -11,8 +11,8 @@ import (
 )
 
 // The capstone integration test: random queries, random documents, every
-// applicable strategy, both encodings — all answers must coincide with the
-// in-memory oracles. This exercises the full pipeline (regex → minimal DFA
+// applicable strategy, both encodings and the XML, term and JSON readers —
+// all answers must coincide with the in-memory oracles. This exercises the full pipeline (regex → minimal DFA
 // → classification → compiled evaluator → scanner → selection).
 
 func randomExpr(rng *rand.Rand, depth int) string {
@@ -48,6 +48,12 @@ func TestIntegrationAllStrategiesAgreeWithOracles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %q: %v", expr, err)
 		}
+		// Over JSON the tree hangs under a $ root, which the query reads
+		// first.
+		qj, err := CompileRegex("'$'("+expr+")", append([]string{encoding.RootLabel}, labels...))
+		if err != nil {
+			t.Fatalf("compile %q under $: %v", expr, err)
+		}
 		queries++
 		for j := 0; j < 8; j++ {
 			tr := gen.RandomTree(rng, labels, 1+rng.Intn(25))
@@ -77,6 +83,16 @@ func TestIntegrationAllStrategiesAgreeWithOracles(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireEqualInts(t, expr, tr, "term select", gotTerm, wantSel)
+
+			// JSON selection, of the tree under a $ root.
+			wrapped := tree.New(encoding.RootLabel, tr)
+			var gotJSON []int
+			if _, err := qj.SelectJSON(strings.NewReader(jsonOf(wrapped)), Options{}, func(m Match) {
+				gotJSON = append(gotJSON, m.Pos)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			requireEqualInts(t, expr, wrapped, "json select", gotJSON, tree.SelectQL(qj.automaton(), wrapped))
 
 			// EL and AL, markup and term.
 			if got, _, err := q.RecognizeEL(strings.NewReader(xml), Options{}); err != nil || got != wantEL {

@@ -25,14 +25,10 @@ import (
 // The annotation itself is load-bearing, so it cannot silently vanish: a
 // function whose name ends in "Plain" (the kernel naming convention) must
 // carry the directive, and every implementation of the coded batch kernels
-// (StepBatch, SelectBatch, SimulateSegmentCoded, the EL/AL wrappers' window
-// loop stepWindows, the byte lexers' scan loops lexXML and lexTerm,
-// their batch fill fillBatch and its events-mode twin fillEvents over any
-// other Source, and the buffered stream's drain and Recode)
-// must be annotated either
-// //treelint:plain or //treelint:partial with a reason — the
-// bounds-check-elimination gate (cmd/bcegate) derives its target set from
-// these annotations, so an unannotated kernel would silently escape it.
+// (BatchKernels) must be annotated either //treelint:plain or
+// //treelint:partial with a reason — the bounds-check-elimination gate
+// (cmd/bcegate) derives its target set from these annotations, so an
+// unannotated kernel would silently escape it.
 var PlainKernel = &Analyzer{
 	Name: "plainkernel",
 	Doc: "functions marked //treelint:plain must not reference obs, call time.Now or " +
@@ -41,16 +37,20 @@ var PlainKernel = &Analyzer{
 	Run: runPlainKernel,
 }
 
-// batchKernels are the coded batch-kernel methods whose implementations
-// must be explicitly plain or partial; cmd/bcegate gates exactly the plain
-// ones.
-var batchKernels = map[string]bool{
+// BatchKernels are the coded batch-kernel methods whose implementations
+// must be explicitly plain or partial, and cmd/bcegate's target set, which
+// gates exactly the plain ones: the step kernels and the EL/AL wrappers'
+// window loop behind them, the byte lexers' scan loops, the batch fill
+// that drives them and its events-mode twin over any other Source, and
+// the buffered stream's drain and per-machine recode.
+var BatchKernels = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,
 	"SimulateSegmentCoded": true,
 	"stepWindows":          true,
 	"lexXML":               true,
 	"lexTerm":              true,
+	"lexJSON":              true,
 	"fillBatch":            true,
 	"fillEvents":           true,
 	"drain":                true,
@@ -98,7 +98,7 @@ func runPlainKernel(pass *Pass) error {
 // Methods only — a free function sharing a kernel's name implements no
 // BatchEvaluator — and test files are exempt (test doubles are not gated).
 func checkBatchKernel(pass *Pass, f *ast.File, fn *ast.FuncDecl) {
-	if !batchKernels[fn.Name.Name] || fn.Recv == nil {
+	if !BatchKernels[fn.Name.Name] || fn.Recv == nil {
 		return
 	}
 	if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {

@@ -49,11 +49,11 @@ func (b *Buffer) Release() {
 }
 
 // ReadBuffer drains src into a Buffer through the fill a Batcher reads
-// (lexer.go) with the identity remap: an XMLScanner or TermScanner (guarded
-// by CheckBalance or not) lexes straight into it, and any other Source is
-// interned event by event into the same table. As with ReadAll, an error
-// comes back together with the events read before it, and io.EOF is not an
-// error.
+// (lexer.go) with the identity remap: an XMLScanner, TermScanner or
+// JSONSource (guarded by CheckBalance or not) lexes straight into it, and
+// any other Source is interned event by event into the same table. As with
+// ReadAll, an error comes back together with the events read before it,
+// and io.EOF is not an error.
 func ReadBuffer(src Source) (*Buffer, error) {
 	n := drainInitial
 	if ss, ok := src.(*SliceSource); ok {

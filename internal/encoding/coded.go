@@ -45,12 +45,12 @@ func CodeEvents(coder *alphabet.Coder, events []Event, buf []CodedEvent) []Coded
 // Batcher drains a Source into reusable coded batches. The slice returned
 // by NextBatch is overwritten by the next call; consumers must finish with
 // a batch before pulling the next one. Every source is read by one fill
-// (lexer.go): an XMLScanner or TermScanner (guarded by CheckBalance or not)
-// lexes its bytes straight into the batch, and any other Source is read
-// through a window of its events into the same intern table. Either way
-// each event's Sym is one load from the stream's remap of local label ids
-// to the consuming alphabet's codes, and its local id is kept for label
-// recovery.
+// (lexer.go): an XMLScanner, TermScanner or JSONSource (guarded by
+// CheckBalance or not) lexes its bytes straight into the batch, and any
+// other Source is read through a window of its events into the same intern
+// table. Either way each event's Sym is one load from the stream's remap
+// of local label ids to the consuming alphabet's codes, and its local id
+// is kept for label recovery.
 type Batcher struct {
 	lx  *lexer // the scanner's lexer, or own reading any other Source
 	own lexer

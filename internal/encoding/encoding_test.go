@@ -160,6 +160,7 @@ func TestXMLScannerAgainstStdlib(t *testing.T) {
 }
 
 func TestJSONSourceMapping(t *testing.T) {
+	huge := strings.Repeat("x", 1<<20)
 	cases := []struct {
 		json string
 		want string
@@ -170,14 +171,27 @@ func TestJSONSourceMapping(t *testing.T) {
 		{`42`, "'$'(value)"},
 		{`{"store":{"book":[{"title":1},{"title":2}]}}`,
 			"'$'(store(book(item(title),item(title))))"},
+		// Numbers are checked by the grammar, never converted.
+		{`1e400`, "'$'(value)"},
+		{`-0.5e+3`, "'$'(value)"},
+		{`{"a":1e400,"b":[-0.5e+3]}`, "'$'(a,b(item))"},
+		// Escaped keys are decoded as encoding/json decodes them.
+		{`{"a\/b":1,"\u0073ku":2}`, "'$'('a/b',sku)"},
+		{"{\"\\ud83d\\ude00\":1,\"\\ud800\":2,\"\xff\":3}", "'$'('\U0001f600','\ufffd','\ufffd')"},
+		// Duplicate keys are separate nodes.
+		{`{"a":1,"a":{"a":2}}`, "'$'(a,a(a))"},
+		// Whitespace between every token.
+		{" \t\r\n{ \n\"a\" \t: [ 1 , { \"b\" : null } ,\"s\" ] , \"c\"\r:\rtrue } \n", "'$'(a(item,item(b),item),c)"},
+		// A 1 MiB string value streams through the 64 KiB window.
+		{`{"a":"` + huge + `","b":[` + `"` + huge + `"]}`, "'$'(a,b(item))"},
 	}
 	for _, c := range cases {
 		n, err := Decode(NewJSONSource(strings.NewReader(c.json)))
 		if err != nil {
-			t.Fatalf("%s: %v", c.json, err)
+			t.Fatalf("%.60s: %v", c.json, err)
 		}
 		if got := n.String(); got != c.want {
-			t.Errorf("JSON %s → %s, want %s", c.json, got, c.want)
+			t.Errorf("JSON %.60s → %s, want %s", c.json, got, c.want)
 		}
 	}
 }
@@ -191,8 +205,9 @@ func TestJSONSourceErrors(t *testing.T) {
 }
 
 // TestJSONSourceTruncationTyped cuts an order-shaped document at every byte:
-// each strict prefix must fail with ErrMalformed, including cuts inside a
-// string, where the tokenizer's own error is io.ErrUnexpectedEOF.
+// each strict prefix must fail with ErrMalformed, and a cut inside a token
+// (a string, a number, a literal) also wraps io.ErrUnexpectedEOF, as
+// encoding/json reports it.
 func TestJSONSourceTruncationTyped(t *testing.T) {
 	doc := `{"id":1042,"customer":{"name":"Ada L","tier":"gold"},"items":[{"sku":"A-17","qty":2},{"sku":"B-3","qty":1}],"paid":true}`
 	if _, err := ReadAll(CheckBalance(NewJSONSource(strings.NewReader(doc)))); err != nil {
@@ -246,5 +261,44 @@ func TestXMLScannerCommentsAndCDATA(t *testing.T) {
 	n2, err := Decode(NewXMLScanner(strings.NewReader(doc2)))
 	if err != nil || n2.Label != "a" {
 		t.Errorf("PI handling broken: %v %v", n2, err)
+	}
+}
+
+// TestJSONDeepNesting: the container bits grow past their first 64 levels,
+// so closes deep in a 1,000-level document are still checked against their
+// openers, and the events match encoding/json's.
+func TestJSONDeepNesting(t *testing.T) {
+	const depth = 1000
+	var open, close strings.Builder
+	for i := 0; i < depth; i++ {
+		if i%3 == 0 {
+			open.WriteString(`{"a":`)
+			close.WriteString("}")
+		} else {
+			open.WriteString("[")
+			close.WriteString("]")
+		}
+	}
+	c := close.String()
+	rev := make([]byte, len(c))
+	for i := range c {
+		rev[len(c)-1-i] = c[i]
+	}
+	doc := open.String() + "1" + string(rev)
+	checkJSONAgainstReference(t, doc, 0, 7)
+	events, err := ReadAll(NewJSONSource(strings.NewReader(doc)))
+	if err != nil || len(events) < 2*depth {
+		t.Fatalf("%d events, error %v", len(events), err)
+	}
+	// A close of the wrong kind 900 levels down fails at its byte.
+	bad := []byte(doc)
+	at := len(open.String()) + 1 + 100
+	if bad[at] == ']' {
+		bad[at] = '}'
+	} else {
+		bad[at] = ']'
+	}
+	if _, err := ReadAll(NewJSONSource(strings.NewReader(string(bad)))); !errors.Is(err, ErrMalformed) || errorOffset(err) != at {
+		t.Fatalf("mismatched close at byte %d: error %v", at, err)
 	}
 }

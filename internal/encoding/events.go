@@ -6,7 +6,8 @@
 // The event model is shared: an Event is an opening tag with a label, or a
 // closing tag whose label is present under the markup encoding and empty
 // under the term encoding. Streaming sources produce events from XML-ish
-// text, term-encoding text, real XML (via encoding/xml) and JSON.
+// text, term-encoding text and JSON (byte lexers), and real XML (via
+// encoding/xml).
 package encoding
 
 import (
@@ -198,10 +199,10 @@ type balancedSource struct {
 	done   bool
 }
 
-// CheckBalance wraps src with the balance guard. On an XMLScanner or a
-// TermScanner it switches on the lexer's inline guard instead and returns
-// src itself, so a Batcher over the result still reads the lexer's coded
-// batches. Guard errors name their byte offset there.
+// CheckBalance wraps src with the balance guard. On an XMLScanner, a
+// TermScanner or a JSONSource it switches on the lexer's inline guard
+// instead and returns src itself, so a Batcher over the result still reads
+// the lexer's coded batches. Guard errors name their byte offset there.
 func CheckBalance(src Source) Source {
 	if ls, ok := src.(lexSource); ok {
 		ls.lexerOf().guard = true

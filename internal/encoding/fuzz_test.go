@@ -2,6 +2,8 @@ package encoding
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -14,9 +16,9 @@ import (
 )
 
 // Fuzz targets: anything the lexers decode must round-trip through the
-// text writers, the lexers must agree with the reference scanners on
-// arbitrary bytes, and generated trees written out with noise must scan
-// back to their encodings.
+// text writers, the lexers must agree with the reference scanners (for
+// JSON, encoding/json) on arbitrary bytes, and generated trees written out
+// with noise must scan back to their encodings.
 
 func FuzzXMLScanner(f *testing.F) {
 	f.Add("<a><b/></a>")
@@ -77,9 +79,14 @@ func FuzzJSONSource(f *testing.F) {
 	f.Add(`{`)
 	f.Add(`tru`)
 	f.Add(`{"a": {"b": [1,2,{"c": null}]}}`)
+	f.Add(`{"a\/b":1e400,"\u0073ku":-0.5e+3,"\ud83d\ude00":"\u00e9\t"}`)
+	f.Add("{\"\xff\xfe\":[true,false,null,\"\\ud800x\"]} trailing")
 	f.Fuzz(func(t *testing.T, doc string) {
-		// Must not panic; errors are fine.
-		_, _ = Decode(NewJSONSource(strings.NewReader(doc)))
+		// The lexer and encoding/json reach the same verdict, and on
+		// accepted input the same events and labels, read whole and in
+		// reads of 1–9 bytes, so refills land inside every token.
+		sum := crc32.ChecksumIEEE([]byte(doc))
+		checkJSONAgainstReference(t, doc, 0, 1+int(sum%9))
 		// A Batcher over the same bytes delivers what ReadAll reads, coded
 		// as CodeEvents codes it, with the same Open counts, labels and
 		// terminal error.
@@ -121,7 +128,54 @@ func FuzzJSONSource(f *testing.F) {
 		if opens != wantOpens {
 			t.Fatalf("Batcher counted %d Opens, ReadAll read %d", opens, wantOpens)
 		}
+		// A generated tree under a $ root, written as JSON with noise,
+		// scans back to its term encoding.
+		rng := rand.New(rand.NewSource(int64(sum)))
+		n := gen.RandomTree(rng, fuzzLabels, 1+rng.Intn(40))
+		text := noisyJSON(rng, n)
+		events, err := ReadAll(CheckBalance(NewJSONSource(&chunkReader{data: []byte(text), n: 1 + rng.Intn(9)})))
+		if err != nil || !sameEvents(events, Term(tree.New(RootLabel, n))) {
+			t.Fatalf("noisy JSON of %s scanned to %v (err %v):\n%s", n, events, err, text)
+		}
 	})
+}
+
+// checkJSONAgainstReference runs doc through the JSON lexer, read in each
+// of the chunk sizes given (0: whole), with the guard on and off, and
+// requires encoding/json's verdict from each: both reject, with typed
+// errors and the lexer's naming its offset, or both accept with the same
+// events and labels.
+func checkJSONAgainstReference(t *testing.T, doc string, chunks ...int) {
+	t.Helper()
+	for _, guard := range []bool{false, true} {
+		var ref Source = newRefJSONSource(strings.NewReader(doc))
+		if guard {
+			ref = CheckBalance(ref)
+		}
+		want, refErr := ReadAll(ref)
+		if refErr != nil && !errors.Is(refErr, ErrMalformed) {
+			t.Fatalf("guard=%v: encoding/json's error %v is untyped on %q", guard, refErr, doc)
+		}
+		for _, chunk := range chunks {
+			var s Source = NewJSONSource(&chunkReader{data: []byte(doc), n: chunk})
+			if guard {
+				s = CheckBalance(s)
+			}
+			got, err := ReadAll(s)
+			if (err != nil) != (refErr != nil) {
+				t.Fatalf("guard=%v chunk=%d: lexer error %v, encoding/json error %v on %q", guard, chunk, err, refErr, doc)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrMalformed) || errorOffset(err) < 0 {
+					t.Fatalf("guard=%v chunk=%d: error %v is untyped or names no offset on %q", guard, chunk, err, doc)
+				}
+				continue
+			}
+			if !sameEvents(got, want) {
+				t.Fatalf("guard=%v chunk=%d: lexer read %q, encoding/json %q on %q", guard, chunk, got, want, doc)
+			}
+		}
+	}
 }
 
 var fuzzLabels = []string{"a", "b", "item", "x-y", "ns:c"}
@@ -299,5 +353,76 @@ func spacedTerm(rng *rand.Rand, n *tree.Node) string {
 	}
 	rec(n)
 	sep()
+	return b.String()
+}
+
+// noisyJSON writes n as the value of the one key of a root object, so it
+// reads back as $(n), with whitespace between every token, keys written
+// with escapes, and leaves written as every kind of scalar or as an empty
+// object or array. A node whose children are all labelled ArrayItem may be
+// written as an array.
+func noisyJSON(rng *rand.Rand, n *tree.Node) string {
+	var b strings.Builder
+	ws := func() {
+		b.WriteString([]string{"", "", " ", "\n\t", "\r\n  "}[rng.Intn(5)])
+	}
+	key := func(label string) {
+		b.WriteByte('"')
+		for i := 0; i < len(label); i++ {
+			switch c := label[i]; {
+			case rng.Intn(4) == 0:
+				fmt.Fprintf(&b, []string{`\u%04x`, `\u%04X`}[rng.Intn(2)], c)
+			case c == '/' && rng.Intn(2) == 0:
+				b.WriteString(`\/`)
+			default:
+				b.WriteByte(c)
+			}
+		}
+		b.WriteByte('"')
+	}
+	leaves := []string{
+		`0`, `-0`, `12`, `-0.5e+3`, `1e400`, `3.25E-2`, `true`, `false`, `null`,
+		`""`, `"plain"`, `"esc \" \\ \/ \b\f\n\r\t"`, `"\u00e9\ud83d\ude00 \udc00"`, "\"\xff\"",
+		`{}`, `[]`, `{ }`, `[ ]`,
+	}
+	var value func(n *tree.Node)
+	value = func(n *tree.Node) {
+		ws()
+		if len(n.Children) == 0 {
+			b.WriteString(leaves[rng.Intn(len(leaves))])
+			ws()
+			return
+		}
+		array := rng.Intn(2) == 0
+		for _, c := range n.Children {
+			array = array && c.Label == ArrayItem
+		}
+		if array {
+			b.WriteByte('[')
+			for i, c := range n.Children {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				value(c)
+			}
+			b.WriteByte(']')
+			ws()
+			return
+		}
+		b.WriteByte('{')
+		for i, c := range n.Children {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			ws()
+			key(c.Label)
+			ws()
+			b.WriteByte(':')
+			value(c)
+		}
+		b.WriteByte('}')
+		ws()
+	}
+	value(tree.New(RootLabel, n))
 	return b.String()
 }

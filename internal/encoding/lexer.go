@@ -10,16 +10,16 @@ import (
 	"stackless/internal/alphabet"
 )
 
-// The byte lexers (DESIGN.md §11). One lexer per notation reads its input
-// through a reusable 64 KiB window, skips text, comments and quoted
-// attribute values with bytes.IndexByte, and interns each distinct label
-// once per stream into a dense stream-local id. Every event leaves the scan
-// loop as a CodedEvent whose Sym is one load from the stream's remap (local
-// id → the consuming machine's code, resolved once per distinct label),
-// beside its local id for label recovery. A Batcher over a scanner takes
-// these batches as they are; XMLScanner.Next and TermScanner.Next read the
-// same batches back as Events. The O(1) balance guard of CheckBalance runs
-// inside the scan loop.
+// The byte lexers (DESIGN.md §11). One lexer per notation (XML, term, JSON)
+// reads its input through a reusable 64 KiB window, skips text, comments
+// and quoted attribute values with bytes.IndexByte, and interns each
+// distinct label once per stream into a dense stream-local id. Every event
+// leaves the scan loop as a CodedEvent whose Sym is one load from the
+// stream's remap (local id → the consuming machine's code, resolved once
+// per distinct label), beside its local id for label recovery. A Batcher
+// over a scanner takes these batches as they are; the scanners' Next reads
+// the same batches back as Events. The O(1) balance guard of CheckBalance
+// runs inside the scan loop.
 //
 // Every other Source is read by the same lexer type in a third mode: its
 // events, read through a window of events as bytes are read through the
@@ -30,10 +30,10 @@ import (
 const (
 	// windowSize is the lexer's byte window.
 	windowSize = 64 << 10
-	// MaxLabelBytes bounds a tag name or term label: a label must fit in
-	// the lexer's 64 KiB window together with the byte that ends it. A
-	// longer one fails with ErrMalformed at its offset instead of being
-	// buffered without limit.
+	// MaxLabelBytes bounds a tag name, term label or JSON key (as
+	// written, escapes included): a label must fit in the lexer's 64 KiB
+	// window together with the byte that ends it. A longer one fails with
+	// ErrMalformed at its offset instead of being buffered without limit.
 	MaxLabelBytes = windowSize - 1
 	// viewBatch is the Source view's batch: events lexed ahead of Next.
 	viewBatch = 256
@@ -44,9 +44,18 @@ const (
 	maxEmptyReads = 100
 )
 
-// Lexer states: where the scan stood when its window ran dry.
+// The notations a byte lexer reads.
 const (
-	lText      uint8 = iota // between tags (XML) or tokens (term)
+	nXML uint8 = iota
+	nTerm
+	nJSON
+)
+
+// Lexer states: where the scan stood when its window ran dry. The JSON
+// states between tokens say what the next token may be; each JSON string
+// state is followed by its escape and \u states, in that order.
+const (
+	lText      uint8 = iota // between tags (XML) or tokens (term); JSON: before the root value
 	lTag                    // XML: after '<'
 	lOpenName               // XML: in an opening tag's name, from mark
 	lCloseName              // XML: in a closing tag's name, from mark
@@ -57,6 +66,24 @@ const (
 	lSkip                   // XML: skipping up to marker, m bytes of it matched
 	lSelfClose              // XML: the Close of a self-closing tag is pending
 	lLabel                  // term: in a label, from mark
+	jRoot                   // JSON: the root opened; a scalar root opens its "value" child
+	jValue                  // JSON: a value, after ':' or an array's item
+	jFirst                  // JSON: after '[': an element or ']'
+	jElem                   // JSON: after ',' in an array: an element, whose item opens first
+	jKeyFirst               // JSON: after '{': a key or '}'
+	jKey                    // JSON: after ',' in an object: a key
+	jColon                  // JSON: after a key: ':'
+	jNext                   // JSON: after a value: ',' or its container's close
+	jClose                  // JSON: a scalar root ended; the root's Close is pending
+	jAfter                  // JSON: after the root, up to the first non-space byte
+	jKeyStr                 // JSON: in a key, from mark
+	jKeyEsc                 // JSON: after a backslash in a key
+	jKeyHex                 // JSON: in a key's \u escape, m hex digits read
+	jStr                    // JSON: in a string value
+	jStrEsc                 // JSON: after a backslash in a string value
+	jStrHex                 // JSON: in a string value's \u escape, m hex digits read
+	jNum                    // JSON: in a number, m its grammar state
+	jLit                    // JSON: in true, false or null: m bytes of marker matched
 )
 
 // nameStop marks the bytes that end an XML tag name.
@@ -83,8 +110,8 @@ var cdataOpen = []byte("[CDATA[")
 var termSkip = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, ',': true}
 
 // lexState is a lexer's pooled per-stream memory: the window, the intern
-// table, the consuming alphabet with its remap, the Source view's batch
-// and the events mode's event window.
+// table, the consuming alphabet with its remap, the Source view's batch,
+// the events mode's event window and the JSON lexer's state.
 type lexState struct {
 	buf    []byte           // the window; nil until a byte lexer needs it
 	names  []string         // local id → label; id 0 is the empty label of term Closes
@@ -94,7 +121,8 @@ type lexState struct {
 	remap  Remap // local id → code under alph (nil alph: the identity)
 	view   []CodedEvent
 	ids    []int32
-	events []Event // events mode's window buffer; nil until needed
+	events []Event    // events mode's window buffer; nil until needed
+	js     *jsonState // the JSON lexer's state; nil until a JSON stream needs it
 }
 
 var lexPool = sync.Pool{New: func() any {
@@ -111,32 +139,35 @@ var lexPool = sync.Pool{New: func() any {
 type lexer struct {
 	*lexState // nil once released
 
-	r     io.Reader
-	src   Source  // events mode: the Source read by fillEvents, nil for bytes
-	win   []Event // events mode: events pulled from src, not yet filled
-	term  bool
-	guard bool // CheckBalance: enforce tag balance inline
+	r   io.Reader
+	src Source  // events mode: the Source read by fillEvents, nil for bytes
+	win []Event // events mode: events pulled from src, not yet filled
 
 	pos, end int
 	base     int64
-	eof      bool  // r reported io.EOF
 	rerr     error // r's own error, returned once the window runs dry
 	err      error // terminal and sticky: io.EOF at a clean end, else the error
 
 	// Resumable scan state.
-	st     uint8
-	mark   int    // start of the pending label (name states, lBang, lLabel)
+	mark   int    // start of the pending label (name states, lBang, lLabel, JSON key states)
 	scan   int    // label: where the search for its end resumes
-	tag    int32  // local id of the tag whose '>' is pending
-	self   bool   // the opening tag's last significant byte was '/'
-	quote  byte   // lQuote: the quote that ends the value
-	marker string // lSkip: the terminator
-	m      int    // lSkip: bytes of marker matched, as the naive matcher counts
-
-	depth  int  // open tags, tracked with or without the guard
-	rooted bool // an Open was lexed
+	marker string // lSkip: the terminator; jLit: the literal
+	m      int    // lSkip: bytes of marker matched, as the naive matcher counts; JSON: see the states
+	nest   int    // JSON: open containers
+	depth  int    // open tags, tracked with or without the guard
 
 	vi, vn int // Source view: view[vi:vn] are lexed, undelivered
+
+	tag      int32 // local id of the tag whose '>' is pending
+	item     int32 // JSON: local id of ArrayItem, 0 until the stream needs it
+	notation uint8
+	st       uint8
+	quote    byte // lQuote: the quote that ends the value
+	guard    bool // CheckBalance: enforce tag balance inline
+	eof      bool // r reported io.EOF
+	self     bool // the opening tag's last significant byte was '/'
+	esc      bool // jKeyStr: the key holds an escape or a byte ≥ 0x80
+	rooted   bool // an Open was lexed
 }
 
 // lexSource is implemented by the scanners built on a lexer, so CheckBalance
@@ -164,6 +195,9 @@ func (s *lexState) put() {
 	if len(s.names) > maxPooledLabels {
 		s.names, s.index, s.remap = nil, make(map[string]int32), nil
 	}
+	if s.js != nil && s.js.oversized() {
+		s.js = nil
+	}
 	clear(s.names)
 	clear(s.index)
 	clear(s.events)
@@ -171,11 +205,14 @@ func (s *lexState) put() {
 	lexPool.Put(s)
 }
 
-// init readies l to scan r with pooled state.
-func (l *lexer) init(r io.Reader, term bool) {
-	l.lexState, l.r, l.term = acquireLexState(), r, term
+// init readies l to scan r, written in notation, with pooled state.
+func (l *lexer) init(r io.Reader, notation uint8) {
+	l.lexState, l.r, l.notation = acquireLexState(), r, notation
 	if l.buf == nil {
 		l.buf = make([]byte, windowSize)
+	}
+	if notation == nJSON && l.js == nil {
+		l.js = &jsonState{arrays: make([]uint64, 1)}
 	}
 }
 
@@ -573,10 +610,13 @@ func (l *lexer) fillBatch(dst []CodedEvent, ids []int32, eager bool) (int, error
 	}
 	n := 0
 	for l.err == nil && uint(n) <= uint(len(dst)) && uint(n) <= uint(len(ids)) {
-		if l.term {
-			n += l.lexTerm(dst[n:], ids[n:])
-		} else {
+		switch l.notation {
+		case nXML:
 			n += l.lexXML(dst[n:], ids[n:])
+		case nTerm:
+			n += l.lexTerm(dst[n:], ids[n:])
+		default:
+			n += l.lexJSON(dst[n:], ids[n:])
 		}
 		if n == len(dst) || l.err != nil || eager && n > 0 {
 			break
@@ -677,12 +717,12 @@ func (l *lexer) pull() {
 	l.win = win
 }
 
-// finish records how the input ended: cleanly between tags (subject to the
-// guard), or inside a construct.
+// finish records how the input ended: cleanly between tags or after a JSON
+// root (subject to the guard), or inside a construct.
 func (l *lexer) finish() {
 	at := l.end
 	switch l.st {
-	case lText:
+	case lText, jAfter:
 		if l.guard && (l.depth != 0 || !l.rooted) {
 			l.malformed(at, "stream ended at depth %d", l.depth)
 			return
@@ -711,6 +751,18 @@ func (l *lexer) finish() {
 		}
 	case lLabel:
 		l.malformed(at, "truncated term label")
+	case jValue, jColon:
+		l.malformed(at, "truncated JSON: key without value")
+	case jFirst, jElem, jKeyFirst, jKey, jNext:
+		l.malformed(at, "truncated JSON: %d containers open", l.nest)
+	case jKeyStr, jStr:
+		l.truncated(at, "string")
+	case jKeyEsc, jStrEsc:
+		l.truncated(at, "escape")
+	case jKeyHex, jStrHex:
+		l.truncated(at, `\u escape`)
+	case jLit:
+		l.truncated(at, "literal")
 	default:
 		l.malformed(at, "truncated input")
 	}
@@ -726,7 +778,7 @@ func (l *lexer) refill() {
 	}
 	keep := l.pos
 	switch l.st {
-	case lOpenName, lCloseName, lBang, lLabel:
+	case lOpenName, lCloseName, lBang, lLabel, jKeyStr, jKeyEsc, jKeyHex:
 		keep = l.mark
 	}
 	if keep > 0 {
@@ -797,7 +849,7 @@ type XMLScanner struct{ lexer }
 // NewXMLScanner returns a scanner over r.
 func NewXMLScanner(r io.Reader) *XMLScanner {
 	s := &XMLScanner{}
-	s.init(r, false)
+	s.init(r, nXML)
 	return s
 }
 
@@ -809,6 +861,6 @@ type TermScanner struct{ lexer }
 // NewTermScanner returns a scanner over r.
 func NewTermScanner(r io.Reader) *TermScanner {
 	s := &TermScanner{}
-	s.init(r, true)
+	s.init(r, nTerm)
 	return s
 }

@@ -62,12 +62,14 @@ func TestTruncationTyped(t *testing.T) {
   <!-- end -->
 </catalog>`
 	termDoc := "catalog{item{name{} price{}}, item{}}"
+	jsonDoc := `{"id":-1.5e+3,"k\u0065y":"a\"\u00e9","items":[true,false,null,{"sku":[]}]}`
 	for _, c := range []struct {
 		doc  string
 		scan func(io.Reader) Source
 	}{
 		{xmlDoc, func(r io.Reader) Source { return NewXMLScanner(r) }},
 		{termDoc, func(r io.Reader) Source { return NewTermScanner(r) }},
+		{jsonDoc, func(r io.Reader) Source { return NewJSONSource(r) }},
 	} {
 		if _, err := ReadAll(CheckBalance(c.scan(strings.NewReader(c.doc)))); err != nil {
 			t.Fatalf("whole document: %v", err)
@@ -88,8 +90,9 @@ func TestTruncationTyped(t *testing.T) {
 	}
 }
 
-// TestLongLabelBounded: a label longer than MaxLabelBytes fails at its
-// offset without being buffered, and one of exactly MaxLabelBytes passes.
+// TestLongLabelBounded: a label or JSON key longer than MaxLabelBytes fails
+// at its offset without being buffered, and one of exactly MaxLabelBytes
+// passes.
 func TestLongLabelBounded(t *testing.T) {
 	long := strings.Repeat("n", 1<<20)
 	for _, c := range []struct {
@@ -98,6 +101,7 @@ func TestLongLabelBounded(t *testing.T) {
 	}{
 		{"<" + long + ">", func(r io.Reader) Source { return NewXMLScanner(r) }},
 		{"a{" + long + "{}}", func(r io.Reader) Source { return NewTermScanner(r) }},
+		{`{"` + long + `":1}`, func(r io.Reader) Source { return NewJSONSource(r) }},
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -122,6 +126,9 @@ func TestLongLabelBounded(t *testing.T) {
 	}
 	if _, err := ReadAll(NewTermScanner(strings.NewReader(edge + "{}"))); err != nil {
 		t.Errorf("term label of MaxLabelBytes: error %v", err)
+	}
+	if events, err := ReadAll(NewJSONSource(strings.NewReader(`{"` + edge + `":1}`))); err != nil || events[1].Label != edge {
+		t.Errorf("JSON key of MaxLabelBytes: error %v", err)
 	}
 }
 
