@@ -400,18 +400,12 @@ func BenchmarkProp213Decision(b *testing.B) {
 	}
 }
 
-// --- Tree-language recognition: synopsis automaton vs stack ---
+// --- Tree-language recognition: the stack baseline (the registerless and
+// stackless tiers run in BenchmarkRecognizeWrappers) ---
 
 func BenchmarkELRecognizers(b *testing.B) {
 	loadFixtures()
 	an := classify.Analyze(rex.MustCompile(paperfigs.Fig3aRegex, paperfigs.GammaABC()))
-	syn, err := core.RegisterlessEL(an)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("synopsis-registerless", func(b *testing.B) {
-		benchEvaluator(b, syn, fixtures.abcDoc)
-	})
 	b.Run("stack", func(b *testing.B) {
 		benchEvaluator(b, stackeval.EL(an.D), fixtures.abcDoc)
 	})
@@ -922,19 +916,6 @@ func BenchmarkSelectCodedDeep(b *testing.B) {
 	benchSelectPipelines(b, codedBenchEvaluator(b, paperfigs.Fig3cRegex), fixtures.deepDocs[4096])
 }
 
-// BenchmarkSelectCodedSynopsisEL: the synopsis machine's per-event coded
-// step (lazy state discovery admits no dense table; StepBatch hoists the
-// label resolution only).
-func BenchmarkSelectCodedSynopsisEL(b *testing.B) {
-	loadFixtures()
-	an := classify.Analyze(rex.MustCompile(paperfigs.Fig3aRegex, paperfigs.GammaABC()))
-	syn, err := core.RegisterlessEL(an)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchSelectPipelines(b, syn, fixtures.abcDoc)
-}
-
 // BenchmarkSelectCodedDRA: the table DRA's batched step (branchless
 // depth/register comparison bits, direct table indexing).
 func BenchmarkSelectCodedDRA(b *testing.B) {
@@ -943,10 +924,10 @@ func BenchmarkSelectCodedDRA(b *testing.B) {
 }
 
 // wrapperBenchDocs derives from the random tree the two documents on which
-// the EL and AL wrappers of .*a.*b read every event: every label b turned
-// to c, so no leaf is selected and EL rejects at the end; and the root
-// relabelled a and every leaf b, so every leaf is selected and AL accepts
-// at the end.
+// the EL and AL wrappers of .*a.*b and a.*b read every event: every label b
+// turned to c, so no leaf is selected and EL rejects at the end; and the
+// root relabelled a and every leaf b, so every leaf is selected and AL
+// accepts at the end.
 func wrapperBenchDocs() (noMatch, allLeaves []encoding.Event) {
 	noMatch = slices.Clone(fixtures.abcDoc)
 	allLeaves = slices.Clone(fixtures.abcDoc)
@@ -963,14 +944,24 @@ func wrapperBenchDocs() (noMatch, allLeaves []encoding.Event) {
 }
 
 // BenchmarkRecognizeWrappers: the EL and AL wrappers (Theorems 3.1 and
-// 3.2(3)) of .*a.*b over the stackless machine and the pushdown, through
-// the per-event string driver and the coded batch driver, on documents
-// whose verdict is decided only by the last event.
+// 3.2(3)) of .*a.*b over the stackless machine and the pushdown, and of
+// a.*b over its synopsis tables (the registerless EL and AL machines),
+// through the per-event string driver and the coded batch driver, on
+// documents whose verdict is decided only by the last event.
 func BenchmarkRecognizeWrappers(b *testing.B) {
 	loadFixtures()
 	noMatch, allLeaves := wrapperBenchDocs()
 	an := classify.Analyze(rex.MustCompile(paperfigs.Fig3cRegex, paperfigs.GammaABC()))
 	sl, err := core.StacklessQL(an)
+	if err != nil {
+		b.Fatal(err)
+	}
+	anA := classify.Analyze(rex.MustCompile(paperfigs.Fig3aRegex, paperfigs.GammaABC()))
+	elR, err := core.RegisterlessEL(anA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alR, err := core.RegisterlessAL(anA)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -984,6 +975,8 @@ func BenchmarkRecognizeWrappers(b *testing.B) {
 		{"al-stackless", core.ALFromQL(sl), allLeaves, true},
 		{"el-stack", stackeval.EL(an.D), noMatch, false},
 		{"al-stack", stackeval.AL(an.D), allLeaves, true},
+		{"el-registerless", elR, noMatch, false},
+		{"al-registerless", alR, allLeaves, true},
 	} {
 		for _, mode := range []struct {
 			name string

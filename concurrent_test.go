@@ -17,7 +17,8 @@ var concurrentLabels = []string{"$", "a", "b", "c", "item"}
 
 // concurrentQueries compiles the shared Query and MultiQuery. The Query's
 // slots span every family a call can instance: a stackless machine for
-// markup selection and EL, a synopsis machine for markup AL, the pushdown
+// markup selection and EL, a synopsis table in the AL wrapper for markup
+// AL, the pushdown
 // for every term-encoding semantics (so ForbidStack fails there) and for
 // ForceStack; the set adds a registerless pair that compiles to a product.
 func concurrentQueries(t *testing.T) (*Query, *MultiQuery) {
@@ -96,7 +97,7 @@ func concurrentTranscript(q *Query, mq *MultiQuery, xml, term, js string, col *C
 // and every result equals the sequential reference taken on separately
 // compiled copies. Run under -race (ci.sh does), it also checks that no
 // call writes state another call reads: a runtime instance, its collector
-// attachment, a synopsis memo, a pushdown pool.
+// attachment, a pushdown pool.
 func TestConcurrentQueryUse(t *testing.T) {
 	withProcs(t, 2)
 	rng := rand.New(rand.NewSource(61))

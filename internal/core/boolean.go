@@ -61,8 +61,9 @@ func (p *product) Accepting() bool {
 // complement flips acceptance (Lemma 2.4, complementation). Note the
 // convention caveat: machines in this package treat labels outside their
 // alphabet as poisoning (never accepting); Complement preserves that
-// convention when the inner machine exposes a Poisoned method, so that
-// trees outside the alphabet are rejected by both L and its complement.
+// convention when the inner machine is Chunkable and reports the poison
+// as JoinState -1, so that trees outside the alphabet are rejected by
+// both L and its complement.
 type complement struct {
 	inner Evaluator
 }
@@ -74,10 +75,8 @@ func Complement(inner Evaluator) Evaluator { return &complement{inner: inner} }
 func (c *complement) Reset()                { c.inner.Reset() }
 func (c *complement) Step(e encoding.Event) { c.inner.Step(e) }
 
-type poisonable interface{ Poisoned() bool }
-
 func (c *complement) Accepting() bool {
-	if p, ok := c.inner.(poisonable); ok && p.Poisoned() {
+	if m, ok := c.inner.(Chunkable); ok && m.JoinState() < 0 {
 		return false
 	}
 	return !c.inner.Accepting()

@@ -45,6 +45,11 @@ func TestLemma24EvaluatorClosures(t *testing.T) {
 			t.Fatalf("complement wrong on %s", tr)
 		}
 	}
+	// A label outside the alphabet poisons L's machine, and the complement
+	// rejects the tree too.
+	if RunEvents(compl, encoding.Markup(tree.MustParse("a(z)"))) {
+		t.Error("complement accepts a tree outside the alphabet")
+	}
 }
 
 // TestProductTagDFA: the explicit finite-state product agrees with the

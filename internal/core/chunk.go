@@ -249,9 +249,7 @@ func (ev *tagEvaluator) ChunkStates() int { return ev.t.NumStates() }
 func (ev *tagEvaluator) Cut() CutPolicy { return CutNone }
 
 // Fork implements Chunkable.
-func (ev *tagEvaluator) Fork() Chunkable {
-	return &tagEvaluator{t: ev.t, res: alphabet.NewResolver(ev.t.Alphabet), state: ev.t.Start}
-}
+func (ev *tagEvaluator) Fork() Chunkable { return ev.t.Evaluator() }
 
 // BeginSegment implements Chunkable.
 func (ev *tagEvaluator) BeginSegment(q int) {

@@ -13,12 +13,12 @@ import (
 // the coded drivers below batch the event stream through a pooled
 // encoding.Batcher and step whole batches per call, eliminating the
 // per-event interface dispatch and label hashing of the string pipeline.
-// Every machine the public API runs compiles: the tag DFAs, the synopsis
-// machines, the stackless machines, the pushdown and the EL/AL wrappers
-// over the last two. Machines without batch kernels (the DTD stack
-// validator, the pattern matcher, the boolean products) fall back to the
-// generic Select/Recognize path — the coded entry points are drop-in
-// replacements with identical results either way.
+// Every machine the public API runs compiles: the tag DFAs, the stackless
+// machines, the pushdown and the EL/AL wrappers over them (the registerless
+// EL and AL machines wrap a synopsis tag DFA). Machines without batch
+// kernels (the DTD stack validator, the pattern matcher, the boolean
+// products) fall back to the generic Select/Recognize path — the coded
+// entry points are drop-in replacements with identical results either way.
 
 // BatchEvaluator is the compiled contract: an Evaluator that also steps
 // dense symbol-coded batches. StepBatch(b) must be equivalent to Step on
@@ -75,8 +75,8 @@ func SelectCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source, fn func
 // each hit, skips the tail after the last one, and advances whole hitless
 // batches from the batcher's Open count alone. Match labels come from the
 // batcher's label window, not the code alphabet: machines that accept
-// regardless of the label (the synopsis ⊤ state) can select events whose
-// Sym is the lossy unknown sentinel.
+// regardless of the label (an EL wrapper after its match) can select events
+// whose Sym is the lossy unknown sentinel.
 //
 //treelint:plain
 func selectCodedPlain(be BatchEvaluator, src encoding.Source, fn func(Match)) (int, error) {

@@ -70,8 +70,8 @@ type EarliestDecider interface {
 
 // EarliestClassOf reports the mode an earliest run of ev gets: exact for
 // machines implementing EarliestDecider, the safe approximation for the
-// rest (synopsis, table DRAs, the pushdown fallback and the EL/AL
-// wrappers). The approximation never consults flags, so every family — and
+// rest (table DRAs, the pushdown fallback and the EL/AL wrappers, the
+// registerless EL and AL machines included). The approximation never consults flags, so every family — and
 // any user-supplied Evaluator — gets *some* latency bound: zero emission
 // deferral, with end-of-stream as the trivial decision point.
 func EarliestClassOf(ev Evaluator) EarliestMode {

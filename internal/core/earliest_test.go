@@ -28,8 +28,9 @@ func TestEarliestModeString(t *testing.T) {
 }
 
 // TestEarliestClassOf pins which families carry compiled earliest flags:
-// tag DFAs and stackless machines are exact, synopsis machines and table
-// DRAs fall back to the safe approximation.
+// tag DFAs and stackless machines are exact, the EL/AL wrappers (the
+// registerless EL machine among them) and table DRAs fall back to the safe
+// approximation.
 func TestEarliestClassOf(t *testing.T) {
 	an3a := classify.Analyze(paperfigs.Fig3a())
 	an3c := classify.Analyze(paperfigs.Fig3c())

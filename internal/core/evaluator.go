@@ -8,7 +8,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"stackless/internal/encoding"
@@ -63,28 +62,6 @@ func Instrument(ev Evaluator, c *obs.Collector) {
 	if i, ok := ev.(Instrumented); ok {
 		i.SetObs(c)
 	}
-}
-
-// Instance returns an independent runtime instance of a compiled machine,
-// in its initial configuration and sharing ev's immutable tables, so one
-// compiled machine can serve many concurrent runs. Chunkable machines
-// fork. The synopsis machines (registerless EL, and AL through the
-// negation of Lᶜ's) start an empty memo over the same analysis: their
-// memo rows intern as a run discovers them, so a memo is never shared
-// between runs. ev itself is never stepped by the instance, and nothing
-// attached to an instance (a collector, a resolver cache, a stack pool)
-// reaches ev. Instance panics on any other family — a caller bug, since
-// only these families are cached.
-func Instance(ev Evaluator) Evaluator {
-	switch m := ev.(type) {
-	case Chunkable:
-		return m.Fork()
-	case *SynopsisMachine:
-		return synopsisOver(m.an, m.blind)
-	case *negated:
-		return &negated{inner: synopsisOver(m.inner.an, m.inner.blind)}
-	}
-	panic(fmt.Sprintf("core: no runtime instance for %T", ev))
 }
 
 // obsFlusher is implemented by machines that batch metrics in plain

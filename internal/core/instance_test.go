@@ -10,12 +10,12 @@ import (
 	"stackless/internal/rex"
 )
 
-// TestInstanceStepsAsParent: a runtime instance (Fork for the chunkable
-// families, a fresh memo for the synopsis machines) steps exactly as the
-// machine it came from along random streams — the same acceptance and, for
-// machines with compiled earliest flags, the same NoFutureMatches after
-// every event. The empty-language stackless machines are decided from the
-// start, so an instance that dropped the flags would answer differently.
+// TestInstanceStepsAsParent: a runtime instance (a Fork, which is what a
+// query slot hands each call) steps exactly as the machine it came from
+// along random streams — the same acceptance and, for machines with
+// compiled earliest flags, the same NoFutureMatches after every event. The
+// empty-language stackless machines are decided from the start, so an
+// instance that dropped the flags would answer differently.
 func TestInstanceStepsAsParent(t *testing.T) {
 	all, err := rex.CompileString(".*", paperfigs.GammaABC())
 	if err != nil {
@@ -43,7 +43,7 @@ func TestInstanceStepsAsParent(t *testing.T) {
 			events := randomEvents(rng, m.blind, 1+rng.Intn(60))
 			parent := m.fresh()
 			parent.Reset()
-			inst := Instance(parent)
+			inst := parent.(Chunkable).Fork()
 			pd, decides := parent.(EarliestDecider)
 			for j := -1; j < len(events); j++ {
 				if j >= 0 {
@@ -70,7 +70,7 @@ func TestInstanceIndependent(t *testing.T) {
 	for _, m := range codedMachines(t) {
 		parent := m.fresh()
 		parent.Reset()
-		a, b := Instance(parent), Instance(parent)
+		a, b := parent.(Chunkable).Fork(), parent.(Chunkable).Fork()
 		ref := m.fresh()
 		ref.Reset()
 		events := []encoding.Event{{Kind: encoding.Open, Label: "a"}, {Kind: encoding.Open, Label: "zz"}}

@@ -197,7 +197,7 @@ type tagEvaluator struct {
 }
 
 // Evaluator returns a fresh streaming evaluator.
-func (t *TagDFA) Evaluator() Evaluator {
+func (t *TagDFA) Evaluator() Chunkable {
 	return &tagEvaluator{t: t, res: alphabet.NewResolver(t.Alphabet), state: t.Start}
 }
 

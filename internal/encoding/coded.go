@@ -64,9 +64,9 @@ type Batcher struct {
 
 // BatchLabel returns the original label of event i of the current batch.
 // Coding is lossy — every out-of-alphabet label maps to the one unknown
-// sentinel — yet machines that accept regardless of the label (e.g. the
-// synopsis ⊤ state) can select such events, and the reported match must
-// carry the original label.
+// sentinel — yet machines that accept regardless of the label (e.g. an EL
+// wrapper after its match) can select such events, and the reported match
+// must carry the original label.
 func (b *Batcher) BatchLabel(i int) string { return b.lx.names[b.ids[i]] }
 
 // Names returns the stream's labels by local id, as far as it has been

@@ -189,7 +189,7 @@ func (ev *Evaluator) PoolStats() (reuse, misses int64) {
 func (ev *Evaluator) PoolCap() int { return len(ev.pool.nodes) }
 
 // EL returns a stack-based recognizer of EL (some branch labelled in L).
-func EL(d *dfa.DFA) core.Evaluator { return core.ELFromQL(QL(d)) }
+func EL(d *dfa.DFA) core.Chunkable { return core.ELFromQL(QL(d)) }
 
 // AL returns a stack-based recognizer of AL (every branch labelled in L).
-func AL(d *dfa.DFA) core.Evaluator { return core.ALFromQL(QL(d)) }
+func AL(d *dfa.DFA) core.Chunkable { return core.ALFromQL(QL(d)) }

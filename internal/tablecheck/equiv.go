@@ -67,19 +67,11 @@ func underTest(m any) (machineUnderTest, bool, error) {
 			return nil, false, fmt.Errorf("tablecheck: DRA evaluator lost its snapshot support")
 		}
 		return mu, false, nil
-	case *core.SynopsisMachine:
-		return v, v.Blind(), nil
 	case *core.ProductDFA:
 		// The explicit case (not the machineUnderTest fallthrough) carries
 		// the encoding: a term product is blind, and the generic search must
 		// enumerate label-less closes for it.
 		return v.Evaluator(), v.TermEncoding(), nil
-	case interface{ InnerSynopsis() *core.SynopsisMachine }:
-		mu, ok := m.(machineUnderTest)
-		if !ok {
-			return nil, false, fmt.Errorf("tablecheck: AL wrapper %T does not support snapshots", m)
-		}
-		return mu, v.InnerSynopsis().Blind(), nil
 	case machineUnderTest:
 		return v, false, nil
 	}

@@ -7,9 +7,9 @@ import (
 // staticPushdown checks the compiled (n+1)×(k+1) word table of the §16
 // pushdown fallback. The table is fully redundant with the DFA it was
 // compiled from — every entry is the word of a DFA target state with the
-// accept flag folded in — so unlike the lazily-filled machines every
-// defect is statically visible, and there are no poison entries: dead is
-// row n of the table itself, absorbing under opens and revivable by a pop.
+// accept flag folded in — so every defect is statically visible, and
+// there are no poison entries: dead is row n of the table itself,
+// absorbing under opens and revivable by a pop.
 func staticPushdown(r *reporter, ev *stackeval.Evaluator) {
 	tab, words, stride := ev.CompiledTable()
 	d := ev.DFA()

@@ -301,47 +301,3 @@ func staticDRA(r *reporter, d *core.DRA) {
 		}
 	}
 }
-
-// staticSynopsis checks the lazily-filled memo tables of the Lemma 3.11
-// machine in their current fill state.
-func staticSynopsis(r *reporter, m *core.SynopsisMachine) {
-	open, close := m.MemoTables()
-	n := m.StatesDiscovered()
-	k := m.Analysis().D.Alphabet.Size()
-	ck := k
-	if m.Blind() {
-		ck = 1
-	}
-
-	if len(open) != n {
-		r.add(KindShape, "open memo has %d rows, want %d discovered states", len(open), n)
-	}
-	if len(close) != n {
-		r.add(KindShape, "close memo has %d rows, want %d discovered states", len(close), n)
-	}
-	if len(r.ds) > 0 {
-		return
-	}
-	for id := 0; id < n && !r.full(); id++ {
-		if len(open[id]) != k {
-			r.add(KindShape, "open memo row %d has width %d, want alphabet size %d", id, len(open[id]), k)
-			continue
-		}
-		if len(close[id]) != ck {
-			r.add(KindShape, "close memo row %d has width %d, want %d", id, len(close[id]), ck)
-			continue
-		}
-		// Closure: filled entries are interned states or the ⊤/⊥ sentinels;
-		// -3 marks a transition not computed yet (legal: the memo is lazy).
-		for sym, e := range open[id] {
-			if e < -3 || e >= n {
-				r.add(KindClosure, "open memo [id=%d sym=%d] = %d, want a sentinel or a state below %d", id, sym, e, n)
-			}
-		}
-		for sym, e := range close[id] {
-			if e < -3 || e >= n {
-				r.add(KindClosure, "close memo [id=%d sym=%d] = %d, want a sentinel or a state below %d", id, sym, e, n)
-			}
-		}
-	}
-}

@@ -116,20 +116,6 @@ func TestCorruptBlindStackless(t *testing.T) {
 	})
 }
 
-func TestCorruptBlindSynopsis(t *testing.T) {
-	m, err := core.BlindRegisterlessEL(classify.Analyze(paperfigs.Fig3c()))
-	if err != nil {
-		t.Skip("Fig3c is not blindly E-flat:", err)
-	}
-	_, close := m.MemoTables()
-	close[0] = append(close[0], -3) // blind close rows have width 1
-	ds, err := StaticVerify("y", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOnlyKind(t, ds, KindShape)
-}
-
 // TestZeroLimits checks that zero-valued Limits fall back to the issue's
 // default bounds instead of searching nothing.
 func TestZeroLimits(t *testing.T) {

@@ -103,12 +103,11 @@ func (r *reporter) add(k Kind, format string, args ...any) {
 func (r *reporter) full() bool { return len(r.ds) > maxDiagnostics }
 
 // StaticVerify runs the shape, closure, flags and totality checks on a
-// compiled machine. Supported machines: *core.TagDFA,
-// *core.StacklessEvaluator, *core.DRA, *core.SynopsisMachine,
-// *stackeval.Evaluator, the negated AL wrapper (via its InnerSynopsis
-// accessor), and evaluators exposing their automaton through a Machine
-// accessor. Lazily-compiled tables are checked in their current fill
-// state.
+// compiled machine. Supported machines: *core.TagDFA (the synopsis tables
+// of the registerless EL and AL machines included),
+// *core.StacklessEvaluator, *core.DRA, *core.ProductDFA,
+// *stackeval.Evaluator, and evaluators exposing their automaton through a
+// Machine accessor.
 func StaticVerify(name string, m any) ([]Diagnostic, error) {
 	r := &reporter{machine: name}
 	switch v := m.(type) {
@@ -120,12 +119,8 @@ func StaticVerify(name string, m any) ([]Diagnostic, error) {
 		staticPushdown(r, v)
 	case *core.DRA:
 		staticDRA(r, v)
-	case *core.SynopsisMachine:
-		staticSynopsis(r, v)
 	case *core.ProductDFA:
 		staticProduct(r, v)
-	case interface{ InnerSynopsis() *core.SynopsisMachine }:
-		staticSynopsis(r, v.InnerSynopsis())
 	case interface{ Machine() *core.TagDFA }:
 		staticTagDFA(r, v.Machine())
 	case interface{ Machine() *core.DRA }:
@@ -139,9 +134,9 @@ func StaticVerify(name string, m any) ([]Diagnostic, error) {
 }
 
 // Verify runs the full check: static invariants first, then — only when
-// the tables are statically clean — the bounded-equivalence search, then
-// the static pass once more (the search exercises lazily-compiled machines,
-// whose tables may have grown rows the first pass never saw).
+// the tables are statically clean — the bounded-equivalence search. Every
+// table is complete once its machine is built, so the search cannot grow
+// rows that the static pass never saw.
 func Verify(name string, m any, lim Limits) ([]Diagnostic, error) {
 	ds, err := StaticVerify(name, m)
 	if err != nil || len(ds) > 0 {
@@ -166,11 +161,7 @@ func Verify(name string, m any, lim Limits) ([]Diagnostic, error) {
 			ds = append(ds, *pq)
 		}
 	}
-	post, err := StaticVerify(name, m)
-	if err != nil {
-		return ds, err
-	}
-	return append(ds, post...), nil
+	return ds, nil
 }
 
 // MachineName returns a default display name for a machine, for hooks that
@@ -191,13 +182,6 @@ func MachineName(m any) string {
 		return "DRA"
 	case *stackeval.Evaluator:
 		return "PushdownEvaluator"
-	case *core.SynopsisMachine:
-		if v.Blind() {
-			return "SynopsisMachine(term)"
-		}
-		return "SynopsisMachine(markup)"
-	case interface{ InnerSynopsis() *core.SynopsisMachine }:
-		return "AL/" + MachineName(v.InnerSynopsis())
 	case *core.ProductDFA:
 		if v.TermEncoding() {
 			return fmt.Sprintf("ProductDFA(term,%d)", v.Members())

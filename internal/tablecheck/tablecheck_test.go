@@ -289,38 +289,6 @@ func TestCorruptDRA(t *testing.T) {
 	})
 }
 
-func freshSynopsis(t *testing.T) *core.SynopsisMachine {
-	t.Helper()
-	m, err := core.RegisterlessEL(classify.Analyze(paperfigs.Fig3a()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestCorruptSynopsis(t *testing.T) {
-	t.Run("shape", func(t *testing.T) {
-		m := freshSynopsis(t)
-		open, _ := m.MemoTables()
-		open[0] = open[0][:1]
-		ds, err := Verify("y", m, testLimits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantOnlyKind(t, ds, KindShape)
-	})
-	t.Run("closure", func(t *testing.T) {
-		m := freshSynopsis(t)
-		open, _ := m.MemoTables()
-		open[0][0] = 99
-		ds, err := Verify("y", m, testLimits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantOnlyKind(t, ds, KindClosure)
-	})
-}
-
 // TestCompileHook checks the debug hook: a machine compiled while the hook
 // is installed is verified on the spot, and a structurally broken machine
 // is reported the moment its table is built.

@@ -195,11 +195,10 @@ const (
 
 // slot holds one compiled machine of a query: the cheapest tier the report
 // admits for one (semantics, encoding, ForceStack) combination. It is built
-// once, on first use, and never run: every call runs its own
-// core.Instance of it.
+// once, on first use, and never run: every call runs its own Fork of it.
 type slot struct {
 	once sync.Once
-	ev   core.Evaluator
+	ev   core.Chunkable
 	st   Strategy
 }
 
@@ -207,24 +206,25 @@ type slot struct {
 // verdict that admits it and the constructor that builds it.
 type rung struct {
 	admit func(*classify.Report) bool
-	build func(*classify.Analysis) (core.Evaluator, error)
+	build func(*classify.Analysis) (core.Chunkable, error)
 }
 
 // ladders[sem][enc] holds the Registerless then the Stackless rung; the
 // pushdown (stackMachines) closes every ladder and is always admitted. The
-// stackless EL and AL machines wrap the QL one, as in the proofs of
-// Theorems 3.1 and 3.2(3).
+// EL and AL machines of both tiers wrap a QL-style machine, as in the
+// proofs of Theorems 3.1 and 3.2(3): the registerless ones a synopsis
+// table, the stackless ones the QL machine itself.
 var ladders = [3][2][2]rung{
 	semQL: {
 		{{(*classify.Report).QLRegisterless, built(core.RegisterlessQL, (*core.TagDFA).Evaluator)},
-			{(*classify.Report).QLStackless, built(core.StacklessQL, asEvaluator[*core.StacklessEvaluator])}},
+			{(*classify.Report).QLStackless, built(core.StacklessQL, asChunkable[*core.StacklessEvaluator])}},
 		{{(*classify.Report).TermQLRegisterless, built(core.BlindRegisterlessQL, (*core.TagDFA).Evaluator)},
-			{(*classify.Report).TermQLStackless, built(core.BlindStacklessQL, asEvaluator[*core.StacklessEvaluator])}},
+			{(*classify.Report).TermQLStackless, built(core.BlindStacklessQL, asChunkable[*core.StacklessEvaluator])}},
 	},
 	semEL: {
-		{{(*classify.Report).ELRegisterless, built(core.RegisterlessEL, asEvaluator[*core.SynopsisMachine])},
+		{{(*classify.Report).ELRegisterless, core.RegisterlessEL},
 			{(*classify.Report).ELStackless, built(core.StacklessQL, elFromQL)}},
-		{{(*classify.Report).TermELRegisterless, built(core.BlindRegisterlessEL, asEvaluator[*core.SynopsisMachine])},
+		{{(*classify.Report).TermELRegisterless, core.BlindRegisterlessEL},
 			{(*classify.Report).TermQLStackless, built(core.BlindStacklessQL, elFromQL)}},
 	},
 	semAL: {
@@ -237,8 +237,8 @@ var ladders = [3][2][2]rung{
 
 // stackMachines[sem] builds the pushdown, which realizes every semantics
 // under both encodings.
-var stackMachines = [3]func(*dfa.DFA) core.Evaluator{
-	semQL: func(d *dfa.DFA) core.Evaluator { return stackeval.QL(d) },
+var stackMachines = [3]func(*dfa.DFA) core.Chunkable{
+	semQL: func(d *dfa.DFA) core.Chunkable { return stackeval.QL(d) },
 	semEL: stackeval.EL,
 	semAL: stackeval.AL,
 }
@@ -252,8 +252,8 @@ var stackRefusals = [3]string{
 
 // built adapts a typed machine constructor to a rung's, applying wrap to
 // what it builds; a failed construction stays a nil interface.
-func built[M any](mk func(*classify.Analysis) (M, error), wrap func(M) core.Evaluator) func(*classify.Analysis) (core.Evaluator, error) {
-	return func(an *classify.Analysis) (core.Evaluator, error) {
+func built[M any](mk func(*classify.Analysis) (M, error), wrap func(M) core.Chunkable) func(*classify.Analysis) (core.Chunkable, error) {
+	return func(an *classify.Analysis) (core.Chunkable, error) {
 		m, err := mk(an)
 		if err != nil {
 			return nil, err
@@ -262,14 +262,14 @@ func built[M any](mk func(*classify.Analysis) (M, error), wrap func(M) core.Eval
 	}
 }
 
-func asEvaluator[M core.Evaluator](m M) core.Evaluator   { return m }
-func elFromQL(m *core.StacklessEvaluator) core.Evaluator { return core.ELFromQL(m) }
-func alFromQL(m *core.StacklessEvaluator) core.Evaluator { return core.ALFromQL(m) }
+func asChunkable[M core.Chunkable](m M) core.Chunkable   { return m }
+func elFromQL(m *core.StacklessEvaluator) core.Chunkable { return core.ELFromQL(m) }
+func alFromQL(m *core.StacklessEvaluator) core.Chunkable { return core.ALFromQL(m) }
 
 // build climbs the ladder of sem under enc and returns the first machine
 // whose tier the report admits and whose constructor succeeds — a failed
 // constructor falls through to the next tier — or the pushdown.
-func (q *Query) build(sem semantics, enc Encoding, forceStack bool) (core.Evaluator, Strategy) {
+func (q *Query) build(sem semantics, enc Encoding, forceStack bool) (core.Chunkable, Strategy) {
 	if !forceStack {
 		for i, r := range ladders[sem][enc] {
 			if !r.admit(q.report) {
@@ -285,8 +285,8 @@ func (q *Query) build(sem semantics, enc Encoding, forceStack bool) (core.Evalua
 
 // machine returns a runtime instance of q's machine for sem under enc, per
 // opt's ForceStack and ForbidStack, with opt.Collector attached. The slot's
-// machine is built on the first call; later calls only take an instance.
-func (q *Query) machine(sem semantics, enc Encoding, opt Options) (core.Evaluator, Strategy, error) {
+// machine is built on the first call; later calls only take a Fork of it.
+func (q *Query) machine(sem semantics, enc Encoding, opt Options) (core.Chunkable, Strategy, error) {
 	force := 0
 	if opt.ForceStack {
 		force = 1
@@ -296,7 +296,7 @@ func (q *Query) machine(sem semantics, enc Encoding, opt Options) (core.Evaluato
 	if s.st == Stack && opt.ForbidStack && !opt.ForceStack {
 		return nil, Stack, fmt.Errorf(stackRefusals[sem], q.source, enc)
 	}
-	ev := core.Instance(s.ev)
+	ev := s.ev.Fork()
 	if c := opt.Collector; c != nil {
 		core.Instrument(ev, c)
 		if s.st == Stack {

@@ -1,6 +1,8 @@
 package stackless
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -8,6 +10,7 @@ import (
 
 	"stackless/internal/encoding"
 	"stackless/internal/gen"
+	"stackless/internal/tree"
 )
 
 // Options.Workers must never change observable results: matches, their
@@ -202,6 +205,71 @@ func TestWorkersMalformedInputStillRejected(t *testing.T) {
 		}
 		if seqErr == nil {
 			t.Fatalf("doc %q: malformed input accepted", doc)
+		}
+	}
+}
+
+// TestWorkersRecognizeSequential pins recognition under Workers > 1: the EL
+// and AL machines of every tier are EL/AL wrappers, which have no coded
+// segment kernel, so RecognizeEL, RecognizeAL and their Term twins run as
+// one chunk on the "strategy" fallback, count one SeqFallbacks on an
+// attached collector, and give the Workers 1 verdict.
+func TestWorkersRecognizeSequential(t *testing.T) {
+	withProcs(t, 4)
+	tiers := []struct {
+		expr  string
+		force bool
+		want  Strategy
+	}{
+		{"a.*b", false, Registerless},
+		{".*a.*b", false, Stackless},
+		{".*a.*b", true, Stack},
+	}
+	rng := rand.New(rand.NewSource(29))
+	var docs []*tree.Node
+	for i := 0; i < 12; i++ {
+		docs = append(docs, gen.RandomTree(rng, abc, 1+rng.Intn(300)))
+	}
+	for _, tier := range tiers {
+		q := MustCompileRegex(tier.expr, abc)
+		for _, call := range []struct {
+			name string
+			term bool
+			rec  func(io.Reader, Options) (bool, Stats, error)
+		}{
+			{"RecognizeEL", false, q.RecognizeEL},
+			{"RecognizeAL", false, q.RecognizeAL},
+			{"RecognizeELTerm", true, q.RecognizeELTerm},
+			{"RecognizeALTerm", true, q.RecognizeALTerm},
+		} {
+			name := fmt.Sprintf("%s %s %s", tier.want, tier.expr, call.name)
+			for _, tr := range docs {
+				doc := encoding.XMLString(tr)
+				if call.term {
+					doc = encoding.TermString(tr)
+				}
+				want, seq, err := call.rec(strings.NewReader(doc), Options{ForceStack: tier.force})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seq.Strategy != tier.want {
+					t.Fatalf("%s: ran at the %v tier", name, seq.Strategy)
+				}
+				c := NewCollector()
+				got, stats, err := call.rec(strings.NewReader(doc), Options{ForceStack: tier.force, Workers: 2, Collector: c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s on %s: Workers 2 says %v, Workers 1 %v", name, tr, got, want)
+				}
+				if stats.Chunks != 1 || stats.Fallback != "strategy" || stats.Workers != 1 {
+					t.Fatalf("%s: Workers 2 ran %d chunks on %d workers, fallback %q; want 1 chunk on 1, \"strategy\"", name, stats.Chunks, stats.Workers, stats.Fallback)
+				}
+				if n := c.SeqFallbacks.Load(); n != 1 {
+					t.Fatalf("%s: %d SeqFallbacks, want 1", name, n)
+				}
+			}
 		}
 	}
 }
