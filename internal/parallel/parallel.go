@@ -444,14 +444,6 @@ func SelectBuffer(p *Pool, m core.Chunkable, buf *encoding.Buffer, chunks int, c
 	return len(cuts) + 1, fallback
 }
 
-// RecognizeBuffer is SelectBuffer for a tree-language machine: it returns
-// the final acceptance, with the chunks and the fallback.
-func RecognizeBuffer(p *Pool, m core.Chunkable, buf *encoding.Buffer, chunks int, c *obs.Collector) (bool, int, string) {
-	cuts, fallback := evenCuts(m, buf, chunks)
-	run(p, m, buf, cuts, chunks <= 1, c, nil)
-	return m.Accepting(), len(cuts) + 1, fallback
-}
-
 // The entry points below take an event slice, intern it into a Buffer
 // (encoding.BufferEvents), run the buffered engine and release the buffer;
 // a run without cuts counts as a sequential fallback whatever the chunk
