@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci test race vet fmt build lint lint-tables bce allocgate fuzz fuzz-smoke bench bench-coded bench-multi bench-earliest bench-stack bench-scan bench-coded-gate bench-stack-gate bench-scan-gate bench-compare clean
+.PHONY: ci test race vet fmt build lint lint-tables bce allocgate fuzz fuzz-smoke bench bench-coded bench-multi bench-earliest bench-stack bench-scan bench-coded-gate bench-earliest-gate bench-stack-gate bench-scan-gate bench-compare clean
 
 # timed runs one lint gate and prints its wall-clock seconds, so a gate
 # that quietly grows past the lint budget (90s total) is visible in every
@@ -77,7 +77,10 @@ fuzz:
 # pushdown-vs-old-machine and earliest-emission differential fuzzers, the
 # three event-source fuzzers, the tablecheck roundtrip fuzzer (seeded with
 # mined equivalence counterexamples), and the multi-query product-vs-fanout
-# differential fuzzer, 10s each.
+# differential fuzzer, 10s each. The roundtrip fuzzer's inputs cost up to
+# 256 events × 8 machines of configuration keys each, so minimizing a new
+# input with the default budget (60s) can take the rest of the smoke run;
+# it minimizes with one exec instead.
 SMOKETIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParallelSplit -fuzztime $(SMOKETIME) ./internal/encoding/
@@ -87,7 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzXMLScanner -fuzztime $(SMOKETIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzTermScanner -fuzztime $(SMOKETIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzJSONSource -fuzztime $(SMOKETIME) ./internal/encoding/
-	$(GO) test -run '^$$' -fuzz FuzzTablecheckRoundtrip -fuzztime $(SMOKETIME) ./internal/tablecheck/
+	$(GO) test -run '^$$' -fuzz FuzzTablecheckRoundtrip -fuzztime $(SMOKETIME) -fuzzminimizetime 1x ./internal/tablecheck/
 	$(GO) test -run '^$$' -fuzz FuzzProductVsFanout -fuzztime $(SMOKETIME) ./internal/product/
 
 # Regenerate the committed chunk-parallel benchmark snapshot. The numbers
@@ -109,11 +112,11 @@ bench-coded:
 bench-multi:
 	$(GO) test -run '^$$' -bench MultiQueryProduct -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_multi.json
 
-# Regenerate the earliest-emission benchmark snapshot: the per-event
-# latency contract against the string and coded drivers, plus the
-# early-exit payoff case.
+# Regenerate the earliest-emission benchmark snapshot: the coded driver in
+# one-event windows against the string and coded drivers, plus the
+# early-exit payoff case (interleaved median-of-N, as bench-stack).
 bench-earliest:
-	$(GO) test -run '^$$' -bench SelectEarliest -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_earliest.json
+	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectEarliest -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson > BENCH_earliest.json
 
 # Regenerate the pushdown-fallback benchmark snapshot: the rebuilt pooled
 # machine (string and coded paths) against the legacy per-event baseline
@@ -156,6 +159,17 @@ ifeq ($(BASE),)
 	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectStack -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson -compare BENCH_stack.json -tolerance $(TOLERANCE)
 else
 	$(call base_compare,SelectStack)
+endif
+
+# Gate twin of bench-earliest: the earliest windows, which term-validate's
+# earliest tasks run, must stay within TOLERANCE of the committed snapshot
+# (interleaved median-of-N). With BASE=<rev> the comparison is against
+# that revision on this host (base_compare).
+bench-earliest-gate:
+ifeq ($(BASE),)
+	for i in $$(seq $(BENCHCOUNT)); do $(GO) test -run '^$$' -bench SelectEarliest -benchtime $(BENCHTIME) . || exit 1; done | $(GO) run ./cmd/benchjson -compare BENCH_earliest.json -tolerance $(TOLERANCE)
+else
+	$(call base_compare,SelectEarliest)
 endif
 
 # Gate twin of bench-scan: the scanners must stay within TOLERANCE of the

@@ -1008,9 +1008,9 @@ func BenchmarkRecognizeWrappers(b *testing.B) {
 // --- Earliest emission (DESIGN.md §14). ---
 
 // benchSelectEarliestPipelines runs the same document through the default
-// string and coded drivers and the earliest driver, reporting ns/event for
-// each — the price of the per-event latency contract against both current
-// pipelines (EXPERIMENTS.md).
+// string and coded drivers and the earliest driver (the coded driver in
+// one-event windows), reporting ns/event for each — the price of the
+// per-event latency contract against both (EXPERIMENTS.md).
 func benchSelectEarliestPipelines(b *testing.B, ev core.Evaluator, events []encoding.Event) {
 	b.Helper()
 	var want int
@@ -1045,8 +1045,8 @@ func benchSelectEarliestPipelines(b *testing.B, ev core.Evaluator, events []enco
 }
 
 // BenchmarkSelectEarliestRegisterless: the tag DFA under the earliest
-// contract — per-event string stepping against the batched coded path it
-// gives up.
+// contract — one-event windows against the whole-batch coded path and the
+// string driver.
 func BenchmarkSelectEarliestRegisterless(b *testing.B) {
 	loadFixtures()
 	benchSelectEarliestPipelines(b, codedBenchEvaluator(b, paperfigs.Fig3aRegex), fixtures.abcDoc)
@@ -1060,9 +1060,9 @@ func BenchmarkSelectEarliestStackless(b *testing.B) {
 }
 
 // BenchmarkSelectEarliestEarlyExit: the flag payoff. An out-of-alphabet
-// root decides the run at event one — the earliest driver drains the rest
-// of the document at one kind-test per event, while the default drivers
-// keep stepping their dead machine to the end.
+// root decides the run at event one — the earliest driver only counts the
+// rest of the document's batches, while the default drivers keep stepping
+// their dead machine to the end.
 func BenchmarkSelectEarliestEarlyExit(b *testing.B) {
 	loadFixtures()
 	events := make([]encoding.Event, 0, len(fixtures.abcDoc)+2)

@@ -1,6 +1,7 @@
 package stackless
 
 import (
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -55,8 +56,8 @@ func TestEarliestMatchesOracle(t *testing.T) {
 			if stats.Earliest != wantMode[name] {
 				t.Fatalf("%s: earliest mode %v, want %v", name, stats.Earliest, wantMode[name])
 			}
-			if stats.Pipeline != PipelineString {
-				t.Fatalf("%s: earliest run on pipeline %v, want %v", name, stats.Pipeline, PipelineString)
+			if stats.Pipeline != PipelineCoded {
+				t.Fatalf("%s: earliest run on pipeline %v, want %v", name, stats.Pipeline, PipelineCoded)
 			}
 			if stats.Events != defStats.Events {
 				t.Fatalf("%s doc %d: earliest counted %d events, default %d", name, i, stats.Events, defStats.Events)
@@ -109,34 +110,152 @@ func TestEarliestWorkers(t *testing.T) {
 // the source in a counter, every earliest-mode match is emitted at exactly
 // the event that decides it — consumed = 2·Pos + 2 − Depth, the index of
 // the node's Open plus one — and never later than the default pipeline
-// emits the same match.
+// emits the same match. The rows cover each tier's Query, MultiQuery sets
+// whose members are all exact or mixed, and the encoding/xml bridge of
+// SelectXMLFull, a Source that is neither a byte lexer nor a SliceSource.
 func TestEarliestEmissionPosition(t *testing.T) {
+	exact, err := NewMultiQuery(MustCompileRegex("a.*b", abc), MustCompileRegex("a.*c", abc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := NewMultiQuery(MustCompileRegex("a.*b", abc), MustCompileRegex(".*ab", abc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type selectFn func(src encoding.Source, opt Options, fn func(Match)) error
+	query := func(q *Query) selectFn {
+		return func(src encoding.Source, opt Options, fn func(Match)) error {
+			_, err := q.selectSource(src, MarkupEncoding, opt, fn)
+			return err
+		}
+	}
+	multi := func(mq *MultiQuery) selectFn {
+		return func(src encoding.Source, opt Options, fn func(Match)) error {
+			_, err := mq.selectSource(src, MarkupEncoding, opt, func(m MultiMatch) { fn(m.Match) })
+			return err
+		}
+	}
+	queries := earliestQueries(t)
+	rows := []struct {
+		name string
+		sel  selectFn
+		full bool // read the document's XML through the encoding/xml bridge
+	}{
+		{"registerless", query(queries["registerless"]), false},
+		{"stackless", query(queries["stackless"]), false},
+		{"stack", query(queries["stack"]), false},
+		{"multi all-exact", multi(exact), false},
+		{"multi mixed", multi(mixed), false},
+		{"SelectXMLFull registerless", query(queries["registerless"]), true},
+		{"SelectXMLFull stack", query(queries["stack"]), true},
+	}
 	rng := rand.New(rand.NewSource(31))
-	for name, q := range earliestQueries(t) {
+	for _, row := range rows {
 		for i := 0; i < 40; i++ {
-			events := encoding.Markup(gen.RandomTree(rng, abc, 1+rng.Intn(120)))
+			tr := gen.RandomTree(rng, abc, 1+rng.Intn(120))
+			source := func() *encoding.CountingSource {
+				if row.full {
+					return encoding.Counting(encoding.NewStdXMLSource(strings.NewReader(encoding.XMLString(tr))))
+				}
+				return encoding.Counting(encoding.NewSliceSource(encoding.Markup(tr)))
+			}
 			var earliestAt, defaultAt []int
-			src := encoding.Counting(encoding.NewSliceSource(events))
-			if _, err := q.selectSource(src, MarkupEncoding, Options{Earliest: true}, func(m Match) {
+			src := source()
+			if err := row.sel(src, Options{Earliest: true}, func(m Match) {
 				earliestAt = append(earliestAt, src.Consumed())
 				if want := 2*m.Pos + 2 - m.Depth; src.Consumed() != want {
-					t.Fatalf("%s doc %d: match %+v emitted after %d events, deciding event is %d", name, i, m, src.Consumed(), want)
+					t.Fatalf("%s doc %d: match %+v emitted after %d events, deciding event is %d", row.name, i, m, src.Consumed(), want)
 				}
 			}); err != nil {
 				t.Fatal(err)
 			}
-			src = encoding.Counting(encoding.NewSliceSource(events))
-			if _, err := q.selectSource(src, MarkupEncoding, Options{}, func(m Match) {
+			src = source()
+			if err := row.sel(src, Options{}, func(m Match) {
 				defaultAt = append(defaultAt, src.Consumed())
 			}); err != nil {
 				t.Fatal(err)
 			}
 			if len(earliestAt) != len(defaultAt) {
-				t.Fatalf("%s doc %d: %d matches (earliest) vs %d (default)", name, i, len(earliestAt), len(defaultAt))
+				t.Fatalf("%s doc %d: %d matches (earliest) vs %d (default)", row.name, i, len(earliestAt), len(defaultAt))
 			}
 			for j := range earliestAt {
 				if earliestAt[j] > defaultAt[j] {
-					t.Fatalf("%s doc %d match %d: earliest emitted after %d events, default after %d", name, i, j, earliestAt[j], defaultAt[j])
+					t.Fatalf("%s doc %d match %d: earliest emitted after %d events, default after %d", row.name, i, j, earliestAt[j], defaultAt[j])
+				}
+			}
+		}
+	}
+}
+
+// byteReader hands out its string one byte per Read and counts the bytes
+// read.
+type byteReader struct {
+	s string
+	n int
+}
+
+func (r *byteReader) Read(p []byte) (int, error) {
+	if r.n == len(r.s) {
+		return 0, io.EOF
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	p[0] = r.s[r.n]
+	r.n++
+	return 1, nil
+}
+
+// openTagEnds returns, in document order, the number of bytes of doc
+// through each opening tag: through its '>' in XML, its '{' in the brace
+// notation.
+func openTagEnds(doc string, xml bool) []int {
+	var ends []int
+	for i := 0; i < len(doc); i++ {
+		switch {
+		case !xml && doc[i] == '{':
+			ends = append(ends, i+1)
+		case xml && doc[i] == '<' && doc[i+1] != '/':
+			i += strings.IndexByte(doc[i:], '>')
+			ends = append(ends, i+1)
+		}
+	}
+	return ends
+}
+
+// TestEarliestEmissionBytes pins the contract at the byte lexers, which
+// every public earliest call reads: over a reader that returns one byte
+// per Read, SelectXML and SelectTerm with Earliest emit each match when
+// exactly the bytes through its deciding tag have been read.
+func TestEarliestEmissionBytes(t *testing.T) {
+	queries := earliestQueries(t)
+	rng := rand.New(rand.NewSource(59))
+	for _, name := range []string{"registerless", "stackless", "stack"} {
+		q := queries[name]
+		for i := 0; i < 30; i++ {
+			tr := gen.RandomTree(rng, abc, 1+rng.Intn(80))
+			for _, notation := range []struct {
+				xml bool
+				doc string
+				sel func(*Query, io.Reader, Options, func(Match)) (Stats, error)
+			}{
+				{true, encoding.XMLString(tr), (*Query).SelectXML},
+				{false, encoding.TermString(tr), (*Query).SelectTerm},
+			} {
+				ends := openTagEnds(notation.doc, notation.xml)
+				r := &byteReader{s: notation.doc}
+				matches := 0
+				if _, err := notation.sel(q, r, Options{Earliest: true}, func(m Match) {
+					matches++
+					if r.n != ends[m.Pos] {
+						t.Fatalf("%s doc %d (xml=%v): match %+v emitted after %d bytes, its tag ends at byte %d of %q", name, i, notation.xml, m, r.n, ends[m.Pos], notation.doc)
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				want, _ := collectMatches(t, q, encoding.XMLString(tr), Options{})
+				if matches != len(want) {
+					t.Fatalf("%s doc %d (xml=%v): %d matches, want %d", name, i, notation.xml, matches, len(want))
 				}
 			}
 		}
@@ -184,7 +303,9 @@ func TestEarliestAdversarialCuts(t *testing.T) {
 
 // TestEarliestMultiQuery: earliest mode on a query set — exact only when
 // every member carries flags, the safe approximation as soon as one
-// doesn't or the run fans out; the per-query match sets never change.
+// doesn't or the run fans out; a sequential earliest run steps every
+// member on its own, without product groups; the per-query match sets
+// never change.
 func TestEarliestMultiQuery(t *testing.T) {
 	withProcs(t, 8)
 	exact, err := NewMultiQuery(MustCompileRegex("a.*b", abc), MustCompileRegex("a.*c", abc))
@@ -223,6 +344,9 @@ func TestEarliestMultiQuery(t *testing.T) {
 			got, stats := collect(Options{Earliest: true})
 			if stats.Earliest != tc.want {
 				t.Fatalf("%s: earliest mode %v, want %v", tc.name, stats.Earliest, tc.want)
+			}
+			if stats.ProductGroups != 0 {
+				t.Fatalf("%s: sequential earliest run merged %d product groups, want 0", tc.name, stats.ProductGroups)
 			}
 			gotW, statsW := collect(Options{Earliest: true, Workers: 4})
 			if statsW.Workers > 1 && statsW.Earliest != EarliestApprox {

@@ -14,6 +14,8 @@
 package classify
 
 import (
+	"sync"
+
 	"stackless/internal/dfa"
 )
 
@@ -37,6 +39,24 @@ type Analysis struct {
 	// language-equivalent iff EqClass[p] == EqClass[q]); on a minimal
 	// automaton EqClass is injective.
 	EqClass []int
+
+	// The flatness verdicts, each decided once: Report and every
+	// registerless EL/AL construction ask for them, and a Query's machine
+	// slots are built concurrently.
+	eFlat, aFlat, blindEFlat, blindAFlat flatMemo
+}
+
+// flatMemo is one flatness verdict with its witness, computed on first use.
+type flatMemo struct {
+	once sync.Once
+	ok   bool
+	w    *FlatWitness
+}
+
+// get returns the verdict, running decide on the first call only.
+func (m *flatMemo) get(decide func() (bool, *FlatWitness)) (bool, *FlatWitness) {
+	m.once.Do(func() { m.ok, m.w = decide() })
+	return m.ok, m.w
 }
 
 // Analyze minimizes d and computes the shared per-state facts. All class

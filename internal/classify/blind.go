@@ -5,14 +5,14 @@ package classify
 // These characterize processing under the term (JSON-style) encoding,
 // where closing tags do not reveal the label (Theorems B.1 and B.2).
 
-// BlindEFlat decides blind E-flatness.
+// BlindEFlat decides blind E-flatness, once per Analysis.
 func (a *Analysis) BlindEFlat() (bool, *FlatWitness) {
-	return a.blindFlat(a.Rejective, false)
+	return a.blindEFlat.get(func() (bool, *FlatWitness) { return a.blindFlat(a.Rejective, false) })
 }
 
-// BlindAFlat decides blind A-flatness.
+// BlindAFlat decides blind A-flatness, once per Analysis.
 func (a *Analysis) BlindAFlat() (bool, *FlatWitness) {
-	return a.blindFlat(a.Acceptive, true)
+	return a.blindAFlat.get(func() (bool, *FlatWitness) { return a.blindFlat(a.Acceptive, true) })
 }
 
 func (a *Analysis) blindFlat(polar []bool, goalAcc bool) (bool, *FlatWitness) {

@@ -53,14 +53,16 @@ type HARWitness struct {
 }
 
 // EFlat decides E-flatness of the language (Definition 3.9). On failure it
-// returns a witness.
+// returns a witness. The verdict is decided once per Analysis; later calls
+// return the same witness.
 func (a *Analysis) EFlat() (bool, *FlatWitness) {
-	return a.flat(a.Rejective, false)
+	return a.eFlat.get(func() (bool, *FlatWitness) { return a.flat(a.Rejective, false) })
 }
 
-// AFlat decides A-flatness of the language (Definition 3.9).
+// AFlat decides A-flatness of the language (Definition 3.9), once per
+// Analysis.
 func (a *Analysis) AFlat() (bool, *FlatWitness) {
-	return a.flat(a.Acceptive, true)
+	return a.aFlat.get(func() (bool, *FlatWitness) { return a.flat(a.Acceptive, true) })
 }
 
 // flat checks the common shape of Definition 3.9: polar marks rejective

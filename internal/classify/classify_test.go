@@ -3,6 +3,7 @@ package classify
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"stackless/internal/alphabet"
@@ -127,6 +128,58 @@ func TestEFlatAFlatKnownLanguages(t *testing.T) {
 	}
 	if ok, _ := a3a.AFlat(); !ok {
 		t.Error("aΓ*b should be A-flat")
+	}
+}
+
+// TestFlatnessVerdictsMemoized: each flatness verdict is decided once per
+// Analysis. Concurrent first calls, as a Query's machine slots make them,
+// agree; a later call returns the same verdict and witness and allocates
+// nothing. ab|ba|abc is not E-flat and its complement not A-flat, so both
+// kinds of verdict carry witnesses.
+func TestFlatnessVerdictsMemoized(t *testing.T) {
+	d, err := rex.CompileString("ab|ba|abc", alphabet.Letters("abc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	witnesses := 0
+	for name, an := range map[string]*Analysis{"finite": Analyze(d), "cofinite": Analyze(d.Complement())} {
+		for _, v := range []struct {
+			name    string
+			verdict func() (bool, *FlatWitness)
+		}{
+			{"EFlat", an.EFlat}, {"AFlat", an.AFlat}, {"BlindEFlat", an.BlindEFlat}, {"BlindAFlat", an.BlindAFlat},
+		} {
+			oks := make([]bool, 4)
+			ws := make([]*FlatWitness, 4)
+			var wg sync.WaitGroup
+			for i := range oks {
+				wg.Add(1)
+				go func(i int, verdict func() (bool, *FlatWitness)) {
+					defer wg.Done()
+					oks[i], ws[i] = verdict()
+				}(i, v.verdict)
+			}
+			wg.Wait()
+			for i := range oks {
+				if oks[i] != oks[0] || ws[i] != ws[0] {
+					t.Fatalf("%s %s: concurrent calls returned (%v, %p) and (%v, %p)", name, v.name, oks[0], ws[0], oks[i], ws[i])
+				}
+			}
+			if ws[0] != nil {
+				witnesses++
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if ok, w := v.verdict(); ok != oks[0] || w != ws[0] {
+					t.Fatalf("%s %s: second call returned (%v, %p), first (%v, %p)", name, v.name, ok, w, oks[0], ws[0])
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s: a second call allocates %.1f times, want 0", name, v.name, allocs)
+			}
+		}
+	}
+	if witnesses < 2 {
+		t.Fatalf("%d verdicts carried a witness, want at least 2", witnesses)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // Compiled symbol-coded pipeline (DESIGN.md §11). Machines that can lower
 // their transitions into flat state×symbol tables implement BatchEvaluator;
 // the coded drivers below batch the event stream through a pooled
-// encoding.Batcher and step whole batches per call, eliminating the
-// per-event interface dispatch and label hashing of the string pipeline.
+// encoding.Batcher and step whole batches per call (one-event windows
+// under earliest, earliest.go), eliminating the per-event label hashing
+// of the string pipeline.
 // Every machine the public API runs compiles: the tag DFAs, the stackless
 // machines, the pushdown and the EL/AL wrappers over them (the registerless
 // EL and AL machines wrap a synopsis tag DFA). Machines without batch
@@ -58,14 +59,22 @@ func SelectCoded(ev Evaluator, src encoding.Source, fn func(Match)) (int, error)
 // SelectCodedObs is SelectCoded reporting into a collector, with the same
 // split as SelectObs: a nil collector runs the plain kernel.
 func SelectCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source, fn func(Match)) (int, error) {
+	return selectCoded(ev, c, src, false, fn)
+}
+
+// selectCoded runs the coded Select kernels, stepping each batch in
+// windows: the whole batch, or under earliest one event (DESIGN.md §14).
+// Machines without batch kernels take the string Select, which emits every
+// match at its deciding Open; none of them implements EarliestDecider.
+func selectCoded(ev Evaluator, c *obs.Collector, src encoding.Source, earliest bool, fn func(Match)) (int, error) {
 	be, ok := ev.(BatchEvaluator)
 	if !ok {
 		return SelectObs(ev, c, src, fn)
 	}
 	if c == nil {
-		return selectCodedPlain(be, src, fn)
+		return selectCodedPlain(be, src, earliest, fn)
 	}
-	return selectCodedObs(be, c, src, fn)
+	return selectCodedObs(be, c, src, earliest, fn)
 }
 
 // selectCodedPlain is the uninstrumented coded Select kernel. Position and
@@ -78,34 +87,52 @@ func SelectCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source, fn func
 // regardless of the label (an EL wrapper after its match) can select events
 // whose Sym is the lossy unknown sentinel.
 //
+// Under earliest the batcher is eager and each batch is stepped one event
+// per window, so a match is emitted before the next event is read. After
+// each window an EarliestDecider is asked whether any match is still
+// possible; once none is, the run is decided and the remaining batches
+// are only counted, keeping the event count and the source's errors.
+//
 //treelint:plain
-func selectCodedPlain(be BatchEvaluator, src encoding.Source, fn func(Match)) (int, error) {
+func selectCodedPlain(be BatchEvaluator, src encoding.Source, earliest bool, fn func(Match)) (int, error) {
 	be.Reset()
-	b := encoding.AcquireBatcher(src, be.CodeAlphabet())
+	b := encoding.AcquireBatcher(src, be.CodeAlphabet(), earliest)
+	var dec EarliestDecider
+	if earliest {
+		dec, _ = be.(EarliestDecider)
+	}
+	decided := false
 	events := 0
 	pos, depth := -1, 0
 	hits := b.Hits()
 	for {
 		batch, opens, err := b.NextBatch()
-		if len(batch) > 0 {
-			events += len(batch)
+		events += len(batch)
+		o, prev := 0, 0 // Opens among batch[:prev]
+		for w := 0; w < len(batch) && !decided; {
+			end := len(batch)
+			if earliest {
+				end = w + 1
+			}
 			if fn == nil {
-				be.StepBatch(batch)
+				be.StepBatch(batch[w:end])
 			} else {
-				hits = be.SelectBatch(batch, hits[:0])
-				o, prev := 0, 0
+				hits = be.SelectBatch(batch[w:end], hits[:0])
 				for _, h := range hits {
-					for j := prev; j < int(h); j++ {
+					h := w + int(h)
+					for j := prev; j < h; j++ {
 						o += 1 - int(batch[j].Kind)
 					}
 					o++ // the hit itself is an Open
-					prev = int(h) + 1
-					fn(Match{Pos: pos + o, Depth: depth + 2*o - prev, Label: b.BatchLabel(int(h))})
+					prev = h + 1
+					fn(Match{Pos: pos + o, Depth: depth + 2*o - prev, Label: b.BatchLabel(h)})
 				}
 			}
-			pos += opens
-			depth += 2*opens - len(batch)
+			w = end
+			decided = dec != nil && dec.NoFutureMatches()
 		}
+		pos += opens
+		depth += 2*opens - len(batch)
 		if err != nil {
 			b.Release()
 			if err == io.EOF {
@@ -117,23 +144,39 @@ func selectCodedPlain(be BatchEvaluator, src encoding.Source, fn func(Match)) (i
 }
 
 // selectCodedObs is the instrumented twin: every batch is walked to feed
-// the per-open depth histogram, matching SelectObs's samples exactly.
-func selectCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source, fn func(Match)) (int, error) {
+// the per-open depth histogram, matching SelectObs's samples exactly, and
+// each match's latency is the events between it and its window's end —
+// zero under earliest.
+func selectCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source, earliest bool, fn func(Match)) (int, error) {
 	be.Reset()
-	b := encoding.AcquireBatcher(src, be.CodeAlphabet())
+	b := encoding.AcquireBatcher(src, be.CodeAlphabet(), earliest)
 	defer b.Release()
+	var dec EarliestDecider
+	if earliest {
+		dec, _ = be.(EarliestDecider)
+	}
+	decided := false
 	events := 0
 	matches := 0
 	pos, depth := -1, 0
 	hits := b.Hits()
 	for {
 		batch, _, err := b.NextBatch()
-		if len(batch) > 0 {
-			events += len(batch)
-			hits = be.SelectBatch(batch, hits[:0])
+		events += len(batch)
+		for w := 0; w < len(batch); {
+			end := len(batch)
+			if earliest && !decided {
+				end = w + 1
+			}
+			win := batch[w:end]
+			hits = hits[:0]
+			if !decided {
+				hits = be.SelectBatch(win, hits)
+				decided = dec != nil && dec.NoFutureMatches()
+			}
 			hi := 0
-			for i := range batch {
-				if batch[i].Kind != encoding.Open {
+			for i := range win {
+				if win[i].Kind != encoding.Open {
 					depth--
 					continue
 				}
@@ -143,15 +186,15 @@ func selectCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source, fn
 				if hi < len(hits) && hits[hi] == int32(i) {
 					hi++
 					matches++
-					// The coded driver confirms hits only once the batch is
-					// stepped: this match was decided at batch index i and
-					// emits after index len(batch)-1.
-					c.Latency.Observe(len(batch) - 1 - i)
+					// The match was decided at window index i and emits
+					// after the window's last event.
+					c.Latency.Observe(len(win) - 1 - i)
 					if fn != nil {
-						fn(Match{Pos: pos, Depth: depth, Label: b.BatchLabel(i)})
+						fn(Match{Pos: pos, Depth: depth, Label: b.BatchLabel(w + i)})
 					}
 				}
 			}
+			w = end
 		}
 		if err == io.EOF {
 			flushRun(c, be, int64(events), int64(matches))
@@ -191,7 +234,7 @@ func RecognizeCodedObs(ev Evaluator, c *obs.Collector, src encoding.Source) (boo
 //treelint:plain
 func recognizeCodedPlain(be BatchEvaluator, src encoding.Source) (bool, int, error) {
 	be.Reset()
-	b := encoding.AcquireBatcher(src, be.CodeAlphabet())
+	b := encoding.AcquireBatcher(src, be.CodeAlphabet(), false)
 	events := 0
 	for {
 		batch, _, err := b.NextBatch()
@@ -211,7 +254,7 @@ func recognizeCodedPlain(be BatchEvaluator, src encoding.Source) (bool, int, err
 // whole, then walked for the depth histogram.
 func recognizeCodedObs(be BatchEvaluator, c *obs.Collector, src encoding.Source) (bool, int, error) {
 	be.Reset()
-	b := encoding.AcquireBatcher(src, be.CodeAlphabet())
+	b := encoding.AcquireBatcher(src, be.CodeAlphabet(), false)
 	defer b.Release()
 	events := 0
 	depth := 0

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"stackless/internal/encoding"
 	"stackless/internal/obs"
@@ -16,14 +15,15 @@ import (
 // its own Open event, so the per-match earliest point is the event itself;
 // what the fast paths trade away is *emission*: the coded pipeline confirms
 // hits only at batch boundaries (up to encoding.DefaultBatch events late)
-// and the chunk-parallel engine only at the end-of-stream join. The
-// earliest drivers below restore the per-event contract — each match is
-// reported with zero deferral, at the very event that decides it — and add
-// the complementary *negative* guarantee: machines that expose per-state
-// earliest-decision flags (EarliestDecider) let the driver prove, mid
-// stream, that no future event can produce another match, after which the
-// run is decided and stepping stops (the stream still drains, so event
-// accounting and balance checking are unchanged).
+// and the chunk-parallel engine only at the end-of-stream join. Earliest
+// is a window of the coded drivers (coded.go): an eager batcher reads no
+// input ahead of the events it returns, and each event is stepped as its
+// own window, so each match is reported with zero deferral, at the very
+// event that decides it. Machines that expose per-state earliest-decision
+// flags (EarliestDecider) add the complementary *negative* guarantee: the
+// driver proves, mid stream, that no future event can produce another
+// match, after which the run is decided and stepping stops (the stream
+// still drains, so event accounting and balance checking are unchanged).
 
 // EarliestMode says which earliest-decision guarantee a run carried.
 type EarliestMode int
@@ -92,95 +92,10 @@ func SelectEarliest(ev Evaluator, src encoding.Source, fn func(Match)) (int, err
 
 // SelectEarliestObs is SelectEarliest reporting into a collector, with the
 // same split as SelectObs: a nil collector runs the plain kernel and costs
-// nothing. An instrumented run observes per-match emission latency (always
-// zero on this driver — that is the contract) into c.Latency alongside the
-// usual events/matches/depth accounting.
+// nothing. It is the coded Select stepped in one-event windows over an
+// eager batcher; an instrumented run observes per-match emission latency
+// (always zero — that is the contract) into c.Latency alongside the usual
+// events/matches/depth accounting.
 func SelectEarliestObs(ev Evaluator, c *obs.Collector, src encoding.Source, fn func(Match)) (int, error) {
-	dec, _ := ev.(EarliestDecider)
-	if c == nil {
-		return selectEarliestPlain(ev, dec, src, fn)
-	}
-	ev.Reset()
-	events := 0
-	matches := 0
-	pos := -1
-	depth := 0
-	decided := false
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			flushRun(c, ev, int64(events), int64(matches))
-			return events, nil
-		}
-		if err != nil {
-			flushRun(c, ev, int64(events), int64(matches))
-			return events, err
-		}
-		events++
-		if e.Kind == encoding.Open {
-			pos++
-			depth++
-			c.Depth.Observe(depth)
-		} else {
-			depth--
-		}
-		if decided {
-			continue
-		}
-		ev.Step(e)
-		if e.Kind == encoding.Open && ev.Accepting() {
-			matches++
-			c.Latency.Observe(0)
-			if fn != nil {
-				fn(Match{Pos: pos, Depth: depth, Label: e.Label})
-			}
-		}
-		if dec != nil && dec.NoFutureMatches() {
-			decided = true
-		}
-	}
-}
-
-// selectEarliestPlain is the uninstrumented earliest kernel. A decided run
-// keeps draining the source — the event count, balance-guard errors and
-// position bookkeeping must match Select exactly — but stops stepping the
-// machine, which is the whole point of the flags: the remaining stream
-// costs one kind test per event. dec is nil for safe-approximation
-// machines (the decided branch is then dead).
-//
-//treelint:plain
-func selectEarliestPlain(ev Evaluator, dec EarliestDecider, src encoding.Source, fn func(Match)) (int, error) {
-	ev.Reset()
-	events := 0
-	pos := -1
-	depth := 0
-	decided := false
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return events, err
-		}
-		events++
-		if e.Kind == encoding.Open {
-			pos++
-			depth++
-		} else {
-			depth--
-		}
-		if decided {
-			continue
-		}
-		ev.Step(e)
-		if e.Kind == encoding.Open && ev.Accepting() {
-			if fn != nil {
-				fn(Match{Pos: pos, Depth: depth, Label: e.Label})
-			}
-		}
-		if dec != nil && dec.NoFutureMatches() {
-			decided = true
-		}
-	}
+	return selectCoded(ev, c, src, true, fn)
 }

@@ -17,19 +17,15 @@ import (
 // built, and Snapshotter lets the bounded-equivalence search save and
 // restore full runtime configurations instead of replaying event prefixes.
 
-// Pipeline identifies which event pipeline an evaluation ran: the compiled
-// symbol-coded batch path or the per-event label-resolving string path.
-// The underlying type is string so existing formatting (%s) and emptiness
-// checks keep working.
+// Pipeline identifies which event pipeline an evaluation ran. Every run
+// takes the compiled symbol-coded batch path; the type stays so that
+// reports (Stats, MultiStats) keep naming it. The underlying type is
+// string so formatting (%s) and emptiness checks keep working.
 type Pipeline string
 
-// The two pipelines of DESIGN.md §11.
-const (
-	// PipelineCoded: dense transition tables over symbol-coded batches.
-	PipelineCoded Pipeline = "coded"
-	// PipelineString: per-event interface dispatch with label resolution.
-	PipelineString Pipeline = "string"
-)
+// PipelineCoded is the pipeline of DESIGN.md §11: dense transition tables
+// over symbol-coded batches.
+const PipelineCoded Pipeline = "coded"
 
 // CompileHook, when non-nil, is called with every machine whose compiled
 // form was just built: *TagDFA (after the lazy table build, the synopsis

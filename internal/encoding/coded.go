@@ -60,6 +60,7 @@ type Batcher struct {
 
 	hits   []int32 // AcquireBatcher: the driver's hit buffer
 	pooled bool
+	eager  bool // AcquireBatcher: return the events ready, read nothing ahead
 }
 
 // BatchLabel returns the original label of event i of the current batch.
@@ -105,11 +106,17 @@ var batcherPool = sync.Pool{New: func() any {
 
 // AcquireBatcher is NewBatcher at DefaultBatch coding under a, taken from
 // a pool: the coded drivers' per-call state. A nil a is the identity: each
-// Sym is the label's local id (see Names). The caller must Release it when
-// the stream is done.
-func AcquireBatcher(src Source, a *alphabet.Alphabet) *Batcher {
+// Sym is the label's local id (see Names). An eager batcher returns the
+// events its source has ready instead of filling the batch: those a byte
+// lexer can lex from the bytes already read, the rest of a SliceSource,
+// one event of any other Source. So a driver that steps each event before
+// the next NextBatch (the earliest drivers, DESIGN.md §14) reads no input
+// past the event that decides a match before emitting it. The caller must
+// Release the batcher when the stream is done.
+func AcquireBatcher(src Source, a *alphabet.Alphabet, eager bool) *Batcher {
 	b := batcherPool.Get().(*Batcher)
 	b.attach(src, a)
+	b.eager = eager
 	return b
 }
 
@@ -123,7 +130,7 @@ func (b *Batcher) Hits() []int32 { return b.hits[:0] }
 // after.
 func (b *Batcher) Release() {
 	b.lx.release()
-	b.lx, b.own, b.err = nil, lexer{}, nil
+	b.lx, b.own, b.err, b.eager = nil, lexer{}, nil, false
 	if b.pooled {
 		batcherPool.Put(b)
 	}
@@ -141,7 +148,7 @@ func (b *Batcher) NextBatch() ([]CodedEvent, int, error) {
 	// Depth moves +1 per Open and -1 per Close, so a batch of n events
 	// holds (n + Δdepth)/2 Opens.
 	before := b.lx.depth
-	n, err := b.lx.fillBatch(b.buf[:cap(b.buf)], b.ids[:cap(b.buf)], false)
+	n, err := b.lx.fillBatch(b.buf[:cap(b.buf)], b.ids[:cap(b.buf)], b.eager)
 	b.err = err
 	if n == 0 {
 		return nil, 0, err

@@ -11,13 +11,19 @@ import (
 	"stackless/internal/paperfigs"
 	"stackless/internal/parallel"
 	"stackless/internal/rex"
+	"stackless/internal/stackeval"
 )
 
 // FuzzEarliestVsCurrent fuzzes the document bytes (brace notation) plus one
 // chunk-cut position and checks the earliest-emission driver (DESIGN.md
-// §14) against the current pipelines for every compiled machine class: the
-// match set, event count and error presence from SelectEarliest must equal
-// Select's exactly, and for chunkable machines the chunk-parallel engine
+// §14) against the string Select for every compiled machine class, the
+// exact tiers (tag DFA, stackless) and the approximated ones (synopsis
+// EL/AL, table DRAs, the pushdown). The driver runs twice: over the
+// events ReadAll scanned, as a SliceSource, where matches, event count and
+// error presence must equal Select's; and straight over a TermScanner on
+// the bytes, the eager lexer batches every public earliest call reads,
+// where the matches must be Select's and the event count and error
+// presence ReadAll's. For chunkable machines the chunk-parallel engine
 // cut at the fuzzed position must reproduce the same matches — earliest
 // decisions must survive adversarial chunk joins. Out-of-alphabet labels
 // exercise the poison path, where the earliest flags decide immediately.
@@ -66,12 +72,10 @@ func FuzzEarliestVsCurrent(f *testing.F) {
 	add("table DRA ex2.5", core.Example25(lAB).Evaluator(), nil)
 	add("table DRA ex2.6", core.Example26().Evaluator(), nil)
 	add("table DRA ex2.7", core.Example27Minimal().Evaluator(), nil)
+	add("pushdown .*ab", stackeval.QL(rex.MustCompile(".*ab", paperfigs.GammaABC())), nil)
 
 	f.Fuzz(func(t *testing.T, doc []byte, cut uint) {
 		events, scanErr := encoding.ReadAll(encoding.NewTermScanner(bytes.NewReader(doc)))
-		if len(events) == 0 && scanErr != nil {
-			return
-		}
 		for _, mc := range machines {
 			ev := mc.fresh()
 			var want []core.Match
@@ -83,6 +87,14 @@ func FuzzEarliestVsCurrent(f *testing.F) {
 			}
 			if gotN != wantN || (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%s: earliest (%d, %v), string (%d, %v)", mc.name, gotN, gotErr, wantN, wantErr)
+			}
+			var lexed []core.Match
+			lexN, lexErr := core.SelectEarliest(ev, encoding.NewTermScanner(bytes.NewReader(doc)), func(m core.Match) { lexed = append(lexed, m) })
+			if !reflect.DeepEqual(lexed, want) {
+				t.Fatalf("%s: earliest matches over the scanner %v, string matches %v", mc.name, lexed, want)
+			}
+			if lexN != len(events) || (lexErr == nil) != (scanErr == nil) {
+				t.Fatalf("%s: earliest over the scanner (%d, %v), ReadAll (%d, %v)", mc.name, lexN, lexErr, len(events), scanErr)
 			}
 			cm, ok := ev.(core.Chunkable)
 			if !ok || scanErr != nil || wantErr != nil || len(events) < 2 {

@@ -599,14 +599,14 @@ lex:
 
 // fillBatch lexes into dst and ids until dst is full, the stream ends or
 // fails, or — eager — the window runs dry after at least one event (so a
-// Source view never blocks on input it does not need yet). It returns the
-// events written and the terminal error: io.EOF at a clean end, nil while
-// the stream goes on. In events mode it is fillEvents.
+// Source view or an eager Batcher never blocks on input it does not need
+// yet). It returns the events written and the terminal error: io.EOF at a
+// clean end, nil while the stream goes on. In events mode it is fillEvents.
 //
 //treelint:plain
 func (l *lexer) fillBatch(dst []CodedEvent, ids []int32, eager bool) (int, error) {
 	if l.src != nil {
-		return l.fillEvents(dst, ids)
+		return l.fillEvents(dst, ids, eager)
 	}
 	n := 0
 	for l.err == nil && uint(n) <= uint(len(dst)) && uint(n) <= uint(len(ids)) {
@@ -637,15 +637,19 @@ func (l *lexer) fillBatch(dst []CodedEvent, ids []int32, eager bool) (int, error
 // each label takes one load (single byte) or one map lookup in the intern
 // table, a new one is interned, and the Sym is one load from the remap.
 // The Source's error (io.EOF at its end) is terminal once the window
-// drains.
+// drains. Eager, it returns once the window runs dry after at least one
+// event, and pull reads one event at a time.
 //
 //treelint:plain
-func (l *lexer) fillEvents(dst []CodedEvent, ids []int32) (int, error) {
+func (l *lexer) fillEvents(dst []CodedEvent, ids []int32, eager bool) (int, error) {
 	n := 0
 	for l.err == nil && uint(n) < uint(len(dst)) && uint(n) <= uint(len(ids)) {
 		if len(l.win) == 0 {
+			if eager && n > 0 {
+				break
+			}
 			//treelint:partial refill: one pull per window of events, not per event
-			l.pull()
+			l.pull(eager)
 			continue
 		}
 		all, d, is := l.win, dst[n:], ids[n:]
@@ -688,11 +692,11 @@ func (l *lexer) fillEvents(dst []CodedEvent, ids []int32) (int, error) {
 
 // pull refills the event window of events mode. A *SliceSource hands over
 // the rest of its slice, read in place; any other Source is read through
-// Next into the pooled event buffer, up to its size or the Source's
-// error, which is held until the window drains.
+// Next into the pooled event buffer, up to its size (one event when eager)
+// or the Source's error, which is held until the window drains.
 //
 //treelint:partial refill: one pull per window of events, not per event
-func (l *lexer) pull() {
+func (l *lexer) pull(eager bool) {
 	if l.rerr != nil {
 		l.err = l.rerr
 		return
@@ -713,6 +717,9 @@ func (l *lexer) pull() {
 			break
 		}
 		win = append(win, e)
+		if eager {
+			break
+		}
 	}
 	l.win = win
 }

@@ -364,6 +364,9 @@ func run(p *Pool, m core.Chunkable, buf *encoding.Buffer, cuts []int, planned bo
 
 	m.Reset()
 	pos, depth := -1, 0
+	// A boundary event is replayed as a one-event coded batch.
+	one := make([]encoding.CodedEvent, 1)
+	hits := make([]int32, 0, 1)
 	for _, pieces := range chunkPieces {
 		for pi := range pieces {
 			pc := &pieces[pi]
@@ -375,16 +378,13 @@ func run(p *Pool, m core.Chunkable, buf *encoding.Buffer, cuts []int, planned bo
 				return
 			}
 			if !pc.seg {
-				e := buf.Event(pc.lo)
-				if e.Kind == encoding.Open {
-					pos++
-					depth++
-				} else {
-					depth--
-				}
-				m.Step(e)
-				if fn != nil && e.Kind == encoding.Open && m.Accepting() {
-					fn(core.Match{Pos: pos, Depth: depth, Label: e.Label})
+				opens := remap.Recode(one, events[pc.lo:pc.lo+1])
+				pos += opens
+				depth += 2*opens - 1
+				if fn == nil {
+					m.StepBatch(one)
+				} else if hits = m.SelectBatch(one, hits[:0]); len(hits) > 0 {
+					fn(core.Match{Pos: pos, Depth: depth, Label: buf.Label(pc.lo)})
 				}
 				continue
 			}

@@ -66,16 +66,14 @@ type MultiStats struct {
 	// concurrently on them, each in max(1, Workers ÷ machines) chunks, so a
 	// set with at least as many machines as workers chunks none.
 	Workers int
-	// Pipeline actually used: PipelineString when the sequential per-event
-	// earliest pass ran (Options.Earliest with Workers 1), PipelineCoded
-	// otherwise — every query's machine compiles, and the sequential pass
-	// steps each machine (or product group) in whole coded batches,
-	// instrumented runs included.
+	// Pipeline actually used: always PipelineCoded — every query's machine
+	// compiles, and the sequential pass steps each machine (or product
+	// group) in coded windows, instrumented and earliest runs included.
 	Pipeline Pipeline
 	// ProductGroups is the number of product automata the query set was
 	// merged into (0 when every query ran loose — singletons, incompatible
-	// families, products over the state cap, or the per-event string path,
-	// which never products).
+	// families, products over the state cap, or a sequential earliest run,
+	// which steps every member on its own).
 	ProductGroups int
 	// Earliest reports which earliest-emission mode the run carried when
 	// Options.Earliest was set: EarliestExact when every query's machine
@@ -130,87 +128,14 @@ func (m *MultiQuery) selectSource(src encoding.Source, enc Encoding, opt Options
 		return m.selectParallel(src, opt, evs, plan, stats, fn)
 	}
 	stats.Workers = 1
+	// An earliest run steps every member on its own: a product has no
+	// earliest flags to decide the run with.
+	plan := product.FanoutPlan(len(evs))
 	if !opt.Earliest {
-		plan := m.plan(evs, c)
-		stats.ProductGroups = len(plan.Groups)
-		return m.selectBatched(src, evs, plan, c, stats, fn)
+		plan = m.plan(evs, c)
 	}
-	stats.Pipeline = PipelineString
-	// Earliest emission runs the per-event pass — it already emits every
-	// match at its deciding Open — plus the early-exit check: once every
-	// machine proves no further match is possible, stepping stops and the
-	// rest of the stream only drains (event accounting and the balance
-	// guard are unchanged). The mode is exact only when every machine
-	// carries earliest flags; one approximated member never decides, so
-	// the whole set degrades to the safe approximation.
-	var deciders []core.EarliestDecider
-	if opt.Earliest {
-		stats.Earliest = EarliestExact
-		deciders = make([]core.EarliestDecider, len(evs))
-		for i, ev := range evs {
-			if d, ok := ev.(core.EarliestDecider); ok {
-				deciders[i] = d
-			} else {
-				stats.Earliest = EarliestApprox
-			}
-		}
-	}
-	decided := false
-	pos := -1
-	depth := 0
-	// Every machine steps on every event, so the collector counts events
-	// per machine (matching the parallel fan-out, where each query is its
-	// own pass over the buffered events).
-	if c != nil {
-		defer func() {
-			c.Events.Add(int64(stats.Events) * int64(len(evs)))
-			flushMachines(evs)
-		}()
-	}
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return stats, nil
-		}
-		if err != nil {
-			return stats, err
-		}
-		stats.Events++
-		if e.Kind == encoding.Open {
-			pos++
-			depth++
-			if c != nil {
-				c.Depth.Observe(depth)
-			}
-		} else {
-			depth--
-		}
-		if decided {
-			continue
-		}
-		for i, ev := range evs {
-			ev.Step(e)
-			if e.Kind == encoding.Open && ev.Accepting() {
-				stats.Matches[i]++
-				if c != nil {
-					c.Matches.Inc()
-					c.Latency.Observe(0)
-				}
-				if fn != nil {
-					fn(MultiMatch{Query: i, Match: Match{Pos: pos, Depth: depth, Label: e.Label}})
-				}
-			}
-		}
-		if stats.Earliest == EarliestExact {
-			decided = true
-			for _, d := range deciders {
-				if !d.NoFutureMatches() {
-					decided = false
-					break
-				}
-			}
-		}
-	}
+	stats.ProductGroups = len(plan.Groups)
+	return m.selectBatched(src, evs, plan, opt.Earliest, c, stats, fn)
 }
 
 // flushMachines drains the counters the machines batch in plain fields
@@ -230,21 +155,38 @@ func (m *MultiQuery) plan(evs []core.Evaluator, c *obs.Collector) product.Plan {
 	return product.BuildPlan(evs, product.Shared(), 0, c)
 }
 
-// selectBatched is the compiled fast path of the sequential multi-query
-// pass: the document is read once, in batches of stream-local label ids
-// (an identity Batcher), and each product group and loose machine codes
-// every batch through its own Remap — one alphabet lookup per distinct
-// label, then one load per event — into a shared scratch batch and steps
-// it whole; a product demultiplexes its hit masks into per-query hit
-// lists. Matches are replayed from the per-query hit lists in the exact
-// (position, query) order of the per-event pass. An instrumented run stays
-// on this path: the collector's event total flushes once per return,
-// depths observe per open in a walk over each batch, and matches count as
-// they emit — counter for counter what the per-event pass reports.
+// selectBatched is the sequential multi-query pass: the document is read
+// once, in batches of stream-local label ids (an identity Batcher), and
+// each product group and loose machine codes every window of a batch
+// through its own Remap — one alphabet lookup per distinct label, then one
+// load per event — into a shared scratch batch and steps it whole; a
+// product demultiplexes its hit masks into per-query hit lists. Matches
+// are replayed from the per-query hit lists in (position, query) order.
+// A window is the whole batch, or under earliest one event of an eager
+// batch, so every match emits at its deciding Open (DESIGN.md §14); the
+// mode is exact when every member carries earliest flags, and once all of
+// them prove no further match the rest of the stream is only counted. An
+// instrumented run stays on this path: the collector's event total flushes
+// once per return, depths observe per open in a walk over each batch, and
+// matches count as they emit.
 //
 //treelint:partial instrumented runs flush batched counters into obs
-func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, plan product.Plan, c *obs.Collector, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
+func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, plan product.Plan, earliest bool, c *obs.Collector, stats MultiStats, fn func(MultiMatch)) (MultiStats, error) {
 	n := len(evs)
+	// decs holds every member's decider, or none when one member has no
+	// earliest flags: the run is decided once all of them are.
+	var decs []core.EarliestDecider
+	if earliest {
+		stats.Earliest = EarliestExact
+		for _, ev := range evs {
+			d, ok := ev.(core.EarliestDecider)
+			if !ok {
+				stats.Earliest, decs = EarliestApprox, nil
+				break
+			}
+			decs = append(decs, d)
+		}
+	}
 	loose := plan.Loose
 	bes := make([]core.BatchEvaluator, len(loose))
 	remaps := make([]encoding.Remap, len(loose))
@@ -261,46 +203,49 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 	}
 	hits := make([][]int32, n)
 	if c != nil {
-		// Every machine steps on every event, as in the per-event pass and
-		// the parallel fan-out — a product steps once but counts for each
-		// member.
+		// Every machine steps on every event, as in the parallel fan-out —
+		// a product steps once but counts for each member.
 		defer func() {
 			c.Events.Add(int64(stats.Events) * int64(n))
 			flushMachines(evs)
 		}()
 	}
 	var merge hitMerge
-	var batch, coded []encoding.CodedEvent
+	var win, coded []encoding.CodedEvent
 	emit := func(q, i int, mt Match) {
 		stats.Matches[q]++
 		if c != nil {
 			c.Matches.Inc()
-			// Batched emission: decided at batch index i, confirmed after
-			// index len(batch)-1.
-			c.Latency.Observe(len(batch) - 1 - i)
+			// Decided at window index i, confirmed after the window's last
+			// event.
+			c.Latency.Observe(len(win) - 1 - i)
 		}
 		if fn != nil {
 			fn(MultiMatch{Query: q, Match: mt})
 		}
 	}
-	b := encoding.AcquireBatcher(src, nil)
+	b := encoding.AcquireBatcher(src, nil, earliest)
 	defer b.Release()
 	pos, depth := -1, 0
+	decided := false
 	for {
-		var opens int
-		var err error
-		batch, opens, err = b.NextBatch()
-		if len(batch) > 0 {
-			stats.Events += len(batch)
-			names := b.Names()
-			if cap(coded) < len(batch) {
-				coded = make([]encoding.CodedEvent, len(batch))
+		batch, opens, err := b.NextBatch()
+		stats.Events += len(batch)
+		names := b.Names()
+		if cap(coded) < len(batch) {
+			coded = make([]encoding.CodedEvent, len(batch))
+		}
+		wpos, wdepth := pos, depth // before the window
+		for w := 0; w < len(batch) && !decided; {
+			end := len(batch)
+			if earliest {
+				end = w + 1
 			}
-			coded = coded[:len(batch)]
+			win, coded = batch[w:end], coded[:end-w]
 			for li, be := range bes {
 				q := loose[li]
 				remaps[li] = remaps[li].Extend(names, be.CodeAlphabet())
-				remaps[li].Recode(coded, batch)
+				remaps[li].Recode(coded, win)
 				hits[q] = be.SelectBatch(coded, hits[q][:0])
 			}
 			for gi, gev := range gevs {
@@ -309,7 +254,7 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 					hits[q] = hits[q][:0]
 				}
 				gremaps[gi] = gremaps[gi].Extend(names, g.Machine.Alphabet())
-				gremaps[gi].Recode(coded, batch)
+				gremaps[gi].Recode(coded, win)
 				ghits[gi], gmasks[gi] = gev.SelectBatchMasks(coded, ghits[gi][:0], gmasks[gi][:0])
 				words := g.Machine.MaskWords()
 				for h, j := range ghits[gi] {
@@ -322,21 +267,29 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 					}
 				}
 			}
-			merge.emit(batch, names, hits, pos, depth, emit)
-			if c != nil {
-				d := depth
-				for _, e := range batch {
-					if e.Kind == encoding.Open {
-						d++
-						c.Depth.Observe(d)
-					} else {
-						d--
-					}
+			merge.emit(win, names, hits, wpos, wdepth, emit)
+			if w = end; w < len(batch) {
+				for _, e := range win {
+					k := int(e.Kind)
+					wpos += 1 - k
+					wdepth += 1 - 2*k
 				}
 			}
-			pos += opens
-			depth += 2*opens - len(batch)
+			decided = len(decs) > 0 && allDecided(decs)
 		}
+		if c != nil {
+			d := depth
+			for _, e := range batch {
+				if e.Kind == encoding.Open {
+					d++
+					c.Depth.Observe(d)
+				} else {
+					d--
+				}
+			}
+		}
+		pos += opens
+		depth += 2*opens - len(batch)
 		if err == io.EOF {
 			return stats, nil
 		}
@@ -344,6 +297,16 @@ func (m *MultiQuery) selectBatched(src encoding.Source, evs []core.Evaluator, pl
 			return stats, err
 		}
 	}
+}
+
+// allDecided reports whether every member's run is decided.
+func allDecided(decs []core.EarliestDecider) bool {
+	for _, d := range decs {
+		if !d.NoFutureMatches() {
+			return false
+		}
+	}
+	return true
 }
 
 // selectParallel reads the stream once into a buffer, runs the product

@@ -96,9 +96,8 @@ func TestMultiQueryProductDifferential(t *testing.T) {
 						trial, workers, qi, set[qi], demux[qi], single[qi])
 				}
 			}
-			// The plan is built whenever the batched or parallel engine runs;
-			// a stack-only member keeps the sequential pass on the per-event
-			// path, which never products.
+			// The plan is built whenever a run is not earliest: every
+			// registerless member joins one product group.
 			registerless := 0
 			for _, s := range statsP.Strategies {
 				if s == Registerless {
@@ -106,7 +105,7 @@ func TestMultiQueryProductDifferential(t *testing.T) {
 				}
 			}
 			wantGroups := 0
-			if registerless >= 2 && !(workers == 1 && statsP.Pipeline == PipelineString) {
+			if registerless >= 2 {
 				wantGroups = 1
 			}
 			if statsP.ProductGroups != wantGroups {

@@ -53,6 +53,10 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 			t.Errorf("%s: Select with nil collector allocates %.1f times per run, want 0", name, allocs)
 		}
 
+		// The coded drivers, earliest windows included: a pooled Batcher
+		// over a pooled intern table. Under the race detector sync.Pool
+		// drops items at random, so only the unpooled entry points are held
+		// to zero there.
 		src.Rewind()
 		if _, err := core.SelectEarliestObs(ev, nil, src, nil); err != nil { // warm-up: lazy earliest-flag build
 			t.Fatalf("%s earliest: %v", name, err)
@@ -63,13 +67,10 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs != 0 {
+		if allocs != 0 && !raceEnabled {
 			t.Errorf("%s: SelectEarliest with nil collector allocates %.1f times per run, want 0", name, allocs)
 		}
 
-		// The coded driver: a pooled Batcher over a pooled intern table.
-		// Under the race detector sync.Pool drops items at random, so only
-		// the unpooled entry points are held to zero there.
 		src.Rewind()
 		if _, err := core.SelectCodedObs(ev, nil, src, nil); err != nil {
 			t.Fatalf("%s coded: %v", name, err)

@@ -43,8 +43,8 @@ func jsonOf(t *tree.Node) string {
 
 // TestPipelineEveryCall: every Select, RecognizeEL and RecognizeAL call,
 // over XML, term and JSON input, at each machine tier, sequential and with
-// Workers 2, runs the compiled pipeline and reports PipelineCoded. Only the
-// sequential earliest pass, which steps per event, reports PipelineString.
+// Workers 2, earliest or not, runs the compiled pipeline and reports
+// PipelineCoded.
 // SelectJSON reads the tree under a $ root, and its matches are the
 // internal/tree oracle's on that tree.
 func TestPipelineEveryCall(t *testing.T) {
@@ -94,12 +94,8 @@ func TestPipelineEveryCall(t *testing.T) {
 					if st.Strategy != tier.want {
 						t.Fatalf("%s %s: strategy %v, want %v", call.name, tier.regex, st.Strategy, tier.want)
 					}
-					want := PipelineCoded
-					if earliest && workers == 1 && strings.HasPrefix(call.name, "Select") {
-						want = PipelineString
-					}
-					if st.Pipeline != want {
-						t.Errorf("%s %s workers=%d earliest=%v: pipeline %v, want %v", call.name, tier.regex, workers, earliest, st.Pipeline, want)
+					if st.Pipeline != PipelineCoded {
+						t.Errorf("%s %s workers=%d earliest=%v: pipeline %v, want %v", call.name, tier.regex, workers, earliest, st.Pipeline, PipelineCoded)
 					}
 				}
 			}
@@ -128,12 +124,8 @@ func TestPipelineEveryCall(t *testing.T) {
 				if st.Strategy != tier.want {
 					t.Fatalf("SelectJSON %s: strategy %v, want %v", tier.regex, st.Strategy, tier.want)
 				}
-				wantPipeline := PipelineCoded
-				if earliest && workers == 1 {
-					wantPipeline = PipelineString
-				}
-				if st.Pipeline != wantPipeline {
-					t.Errorf("SelectJSON %s workers=%d earliest=%v: pipeline %v, want %v", tier.regex, workers, earliest, st.Pipeline, wantPipeline)
+				if st.Pipeline != PipelineCoded {
+					t.Errorf("SelectJSON %s workers=%d earliest=%v: pipeline %v, want %v", tier.regex, workers, earliest, st.Pipeline, PipelineCoded)
 				}
 				if !slices.Equal(got, want) {
 					t.Errorf("SelectJSON %s workers=%d earliest=%v: matches %v, oracle %v", tier.regex, workers, earliest, got, want)

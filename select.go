@@ -43,12 +43,10 @@ type Match struct {
 // treelint's enumswitch holds switches over it to totality.
 type Pipeline = core.Pipeline
 
-// Re-exported pipeline members, so callers compare Stats.Pipeline against
-// typed constants instead of raw strings.
-const (
-	PipelineCoded  = core.PipelineCoded
-	PipelineString = core.PipelineString
-)
+// PipelineCoded is the one pipeline every run takes: compiled tables over
+// symbol-coded batches (DESIGN.md §11). Re-exported so callers compare
+// Stats.Pipeline against a typed constant instead of a raw string.
+const PipelineCoded = core.PipelineCoded
 
 // EarliestMode says which earliest-emission guarantee a run carried; it is
 // an alias of core.EarliestMode (see DESIGN.md §14).
@@ -83,11 +81,9 @@ type Stats struct {
 	// worker count — Options.Workers clamped to GOMAXPROCS — for a
 	// chunk-parallel one.
 	Workers int
-	// Pipeline actually used: PipelineString when the sequential
-	// per-event earliest pass ran (Options.Earliest with Workers 1),
-	// PipelineCoded otherwise — every machine a Query runs compiles to the
-	// symbol-coded batch pipeline (dense transition tables, see DESIGN.md
-	// §11).
+	// Pipeline actually used: always PipelineCoded — every machine a Query
+	// runs compiles to the symbol-coded batch pipeline (dense transition
+	// tables, see DESIGN.md §11), earliest runs included (§14).
 	Pipeline Pipeline
 	// Chunks the stream was split into: 1 for any sequential pass,
 	// including parallel requests that degraded (see Fallback).
@@ -155,10 +151,9 @@ type Options struct {
 	// never deferred to a batch boundary, and machines with compiled
 	// earliest-decision flags stop stepping at the earliest event proving
 	// no further match is possible. The match set, order and errors are
-	// identical to the default run; the trade is throughput — the
-	// sequential earliest driver steps one event at a time through the
-	// string path (Stats.Pipeline reads PipelineString), because a
-	// one-event coded batch costs more than a single Step (DESIGN.md §14).
+	// identical to the default run; the trade is throughput — the coded
+	// driver steps one event per window instead of whole batches, and
+	// reads no more input until it has stepped the events already read.
 	// Stats.Earliest reports which mode actually ran.
 	// With Workers > 1 the chunk-parallel engine is used unchanged
 	// (matches still arrive in document order at the join) and the run
@@ -245,10 +240,8 @@ func (q *Query) selectSource(src encoding.Source, enc Encoding, opt Options, fn 
 		return stats, nil
 	}
 	if opt.Earliest {
-		// Earliest emission runs the per-event driver: matches emit at
-		// their deciding Open, never at a batch boundary, at the cost of
-		// the coded pipeline's throughput.
-		stats.Pipeline = PipelineString
+		// One-event windows: matches emit at their deciding Open, never
+		// at a batch boundary.
 		stats.Earliest = core.EarliestClassOf(ev)
 		stats.Events, err = core.SelectEarliestObs(ev, c, src, report)
 		return stats, err
