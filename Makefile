@@ -72,15 +72,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEarliestVsCurrent -fuzztime $(FUZZTIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzTablecheckRoundtrip -fuzztime $(FUZZTIME) ./internal/tablecheck/
 	$(GO) test -run '^$$' -fuzz FuzzProductVsFanout -fuzztime $(FUZZTIME) ./internal/product/
+	$(GO) test -run '^$$' -fuzz FuzzMultiQueryStacked -fuzztime $(FUZZTIME) .
 
 # CI-sized smoke pass (see ci.sh): the chunk-parallel, coded-pipeline,
 # pushdown-vs-old-machine and earliest-emission differential fuzzers, the
 # three event-source fuzzers, the tablecheck roundtrip fuzzer (seeded with
-# mined equivalence counterexamples), and the multi-query product-vs-fanout
-# differential fuzzer, 10s each. The roundtrip fuzzer's inputs cost up to
-# 256 events × 8 machines of configuration keys each, so minimizing a new
-# input with the default budget (60s) can take the rest of the smoke run;
-# it minimizes with one exec instead.
+# mined equivalence counterexamples), the multi-query product-vs-fanout
+# differential fuzzer and the multi-query plans-vs-oracle fuzzer, 10s
+# each. The roundtrip fuzzer's inputs cost up to 256 events × 8 machines
+# of configuration keys each, so minimizing a new input with the default
+# budget (60s) can take the rest of the smoke run; it minimizes with one
+# exec instead.
 SMOKETIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParallelSplit -fuzztime $(SMOKETIME) ./internal/encoding/
@@ -92,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJSONSource -fuzztime $(SMOKETIME) ./internal/encoding/
 	$(GO) test -run '^$$' -fuzz FuzzTablecheckRoundtrip -fuzztime $(SMOKETIME) -fuzzminimizetime 1x ./internal/tablecheck/
 	$(GO) test -run '^$$' -fuzz FuzzProductVsFanout -fuzztime $(SMOKETIME) ./internal/product/
+	$(GO) test -run '^$$' -fuzz FuzzMultiQueryStacked -fuzztime $(SMOKETIME) .
 
 # Regenerate the committed chunk-parallel benchmark snapshot. The numbers
 # are machine-dependent; commit them together with the cpu context line.

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,9 +41,11 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Snapshot is the whole run: the goos/goarch/cpu/pkg context lines and
-// the GOMAXPROCS the benchmarks ran at, plus all benchmark results in
-// input order.
+// Snapshot is the whole run: the goos/goarch/cpu/pkg context lines, the
+// GOMAXPROCS the benchmarks ran at and the host's CPU count (nproc, read
+// where the run is parsed — the make targets pipe a run straight into
+// benchjson on the host that ran it), plus all benchmark results in input
+// order.
 type Snapshot struct {
 	Context map[string]string `json:"context"`
 	Results []Result          `json:"results"`
@@ -96,7 +99,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // parseBench reads `go test -bench` text output into a snapshot. Malformed
 // benchmark lines are reported to stderr and skipped.
 func parseBench(r io.Reader, stderr io.Writer) (Snapshot, error) {
-	snap := Snapshot{Context: map[string]string{}, Results: []Result{}}
+	snap := Snapshot{Context: map[string]string{"nproc": strconv.Itoa(runtime.NumCPU())}, Results: []Result{}}
 	raw := map[string]map[string][]float64{}
 	idx := map[string]int{}
 	sc := bufio.NewScanner(r)

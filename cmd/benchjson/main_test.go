@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,7 +31,8 @@ func TestParseBench(t *testing.T) {
 	if stderr.Len() != 0 {
 		t.Errorf("unexpected stderr: %s", stderr.String())
 	}
-	if snap.Context["goos"] != "linux" || snap.Context["cpu"] != "Canned CPU @ 2.00GHz" || snap.Context["gomaxprocs"] != "4" {
+	if snap.Context["goos"] != "linux" || snap.Context["cpu"] != "Canned CPU @ 2.00GHz" || snap.Context["gomaxprocs"] != "4" ||
+		snap.Context["nproc"] != strconv.Itoa(runtime.NumCPU()) {
 		t.Errorf("context = %v", snap.Context)
 	}
 	if len(snap.Results) != 3 {

@@ -20,7 +20,8 @@ var concurrentLabels = []string{"$", "a", "b", "c", "item"}
 // markup selection and EL, a synopsis table in the AL wrapper for markup
 // AL, the pushdown
 // for every term-encoding semantics (so ForbidStack fails there) and for
-// ForceStack; the set adds a registerless pair that compiles to a product.
+// ForceStack; the set adds a registerless pair that compiles to a product,
+// and runs as a stacked product wherever the Query needs the pushdown.
 func concurrentQueries(t *testing.T) (*Query, *MultiQuery) {
 	t.Helper()
 	q := MustCompileRegex(`'$'?(b|ab*a)*`, concurrentLabels)
@@ -83,6 +84,12 @@ func concurrentTranscript(q *Query, mq *MultiQuery, xml, term, js string, col *C
 	multi("multi/xml/workers", func(fn func(MultiMatch)) (MultiStats, error) {
 		return mq.SelectXML(strings.NewReader(xml), Options{Workers: 2}, fn)
 	})
+	multi("multi/term/workers", func(fn func(MultiMatch)) (MultiStats, error) {
+		return mq.SelectTerm(strings.NewReader(term), Options{Workers: 2, Collector: col}, fn)
+	})
+	multi("multi/xml/forcestack", func(fn func(MultiMatch)) (MultiStats, error) {
+		return mq.SelectXML(strings.NewReader(xml), Options{ForceStack: true}, fn)
+	})
 	multi("multi/term/earliest", func(fn func(MultiMatch)) (MultiStats, error) {
 		return mq.SelectTerm(strings.NewReader(term), Options{Earliest: true}, fn)
 	})
@@ -108,7 +115,7 @@ func TestConcurrentQueryUse(t *testing.T) {
 	want := concurrentTranscript(refQ, refMQ, xml, term, js, NewCollector())
 	for _, line := range want {
 		switch line[:strings.Index(line, ":")] {
-		case "xml", "json", "term/earliest", "multi/xml":
+		case "xml", "json", "term/earliest", "multi/xml", "multi/term/workers":
 			if strings.HasSuffix(line, " []") {
 				t.Fatalf("reference selects nothing, so matches go uncompared: %s", line)
 			}

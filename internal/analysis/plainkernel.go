@@ -40,12 +40,14 @@ var PlainKernel = &Analyzer{
 // BatchKernels are the coded batch-kernel methods whose implementations
 // must be explicitly plain or partial, and cmd/bcegate's target set, which
 // gates exactly the plain ones: the step kernels and the EL/AL wrappers'
-// window loop behind them, the byte lexers' scan loops, the batch fill
-// that drives them and its events-mode twin over any other Source, and
-// the buffered stream's drain and per-machine recode.
+// window loop behind them, the stacked multi-query pushdown, the byte
+// lexers' scan loops, the batch fill that drives them and its events-mode
+// twin over any other Source, and the buffered stream's drain and
+// per-machine recode.
 var BatchKernels = map[string]bool{
 	"StepBatch":            true,
 	"SelectBatch":          true,
+	"SelectStacked":        true,
 	"SimulateSegmentCoded": true,
 	"stepWindows":          true,
 	"lexXML":               true,

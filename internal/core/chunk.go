@@ -307,6 +307,7 @@ func (ev *StacklessEvaluator) Fork() Chunkable {
 		backAny:  ev.backAny,
 		cDelta:   ev.cDelta,
 		cSel:     ev.cSel,
+		selW:     ev.selW,
 		cBack:    ev.cBack,
 		cBackAny: ev.cBackAny,
 		cComp:    ev.cComp,

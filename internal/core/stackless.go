@@ -76,6 +76,7 @@ type StacklessEvaluator struct {
 	// missing backtrack predecessors in one sign test.
 	cDelta   []int32
 	cSel     []int32
+	selW     int     // cSel's row stride 2(k+1), stored so the kernels divide nothing
 	cBack    []int32 // markup machines; nil when blind
 	cBackAny []int32 // term machines; nil otherwise
 	cComp    []int32
@@ -223,7 +224,7 @@ func (ev *StacklessEvaluator) compile() {
 		}
 	}
 	w := 2 * (k + 1)
-	ev.cSel = make([]int32, n*w)
+	ev.cSel, ev.selW = make([]int32, n*w), w
 	for p := 0; p < n; p++ {
 		sel := ev.cSel[p*w : (p+1)*w]
 		for a := 0; a < k; a++ {
@@ -428,10 +429,8 @@ func (ev *StacklessEvaluator) StepBatch(batch []encoding.CodedEvent) {
 	if ev.poisoned {
 		return
 	}
-	sel := ev.cSel
+	sel, w := ev.cSel, ev.selW
 	o := ev.obs
-	n := len(ev.cComp)
-	w := len(sel) / n // 2*(k+1)
 	state, depth := ev.state, ev.depth
 	recs := ev.records
 	topDepth := noRecordDepth
@@ -486,10 +485,8 @@ func (ev *StacklessEvaluator) SelectBatch(batch []encoding.CodedEvent, hits []in
 	if ev.poisoned {
 		return hits
 	}
-	sel := ev.cSel
+	sel, w := ev.cSel, ev.selW
 	o := ev.obs
-	n := len(ev.cComp)
-	w := len(sel) / n
 	state, depth := ev.state, ev.depth
 	recs := ev.records
 	topDepth := noRecordDepth

@@ -848,7 +848,9 @@ func (l *lexer) Next() (Event, error) {
 // (skipped up to the closing '>', quoted values included), comments
 // (<!-- -->), CDATA sections, directives (<!...>) and processing
 // instructions (<? ?>). A tag name longer than MaxLabelBytes is an error.
-// Mismatched closing tags are reported by the evaluator layer, not here.
+// A closing tag's name is not matched against its opening tag, here or in
+// any later layer: the O(1) balance guard (CheckBalance) counts depth only,
+// so a close naming the wrong label reaches the machines as written.
 // A Batcher over an XMLScanner reads coded batches straight from the
 // lexer.
 type XMLScanner struct{ lexer }

@@ -106,8 +106,8 @@ func (r *reporter) full() bool { return len(r.ds) > maxDiagnostics }
 // compiled machine. Supported machines: *core.TagDFA (the synopsis tables
 // of the registerless EL and AL machines included),
 // *core.StacklessEvaluator, *core.DRA, *core.ProductDFA,
-// *stackeval.Evaluator, and evaluators exposing their automaton through a
-// Machine accessor.
+// *core.StackedProduct, *stackeval.Evaluator, and evaluators exposing their
+// automaton through a Machine accessor.
 func StaticVerify(name string, m any) ([]Diagnostic, error) {
 	r := &reporter{machine: name}
 	switch v := m.(type) {
@@ -121,6 +121,8 @@ func StaticVerify(name string, m any) ([]Diagnostic, error) {
 		staticDRA(r, v)
 	case *core.ProductDFA:
 		staticProduct(r, v)
+	case *core.StackedProduct:
+		staticStacked(r, v)
 	case interface{ Machine() *core.TagDFA }:
 		staticTagDFA(r, v.Machine())
 	case interface{ Machine() *core.DRA }:
@@ -187,6 +189,11 @@ func MachineName(m any) string {
 			return fmt.Sprintf("ProductDFA(term,%d)", v.Members())
 		}
 		return fmt.Sprintf("ProductDFA(markup,%d)", v.Members())
+	case *core.StackedProduct:
+		if v.TermEncoding() {
+			return fmt.Sprintf("StackedProduct(term,%d)", v.Members())
+		}
+		return fmt.Sprintf("StackedProduct(markup,%d)", v.Members())
 	}
 	return fmt.Sprintf("%T", m)
 }

@@ -249,38 +249,49 @@ func TestObsStatsCutPolicy(t *testing.T) {
 
 // TestObsMultiQueryCollector checks the MultiQuery accounting convention —
 // every machine steps on every event, so Events counts events × queries in
-// both modes — and that the parallel path times its merge phase.
+// both modes — and that the parallel path of a grouped plan times its
+// merge phase, while a stacked plan, which merges nothing, times none.
 func TestObsMultiQueryCollector(t *testing.T) {
 	withProcs(t, 4)
 	q1 := MustCompileRegex("a.*b", abc)
 	q2 := MustCompileRegex(".*a.*b", abc)
-	q3 := MustCompileRegex(".*ab", abc) // stack-only: sequential inside the fan-out
-	mq, err := NewMultiQuery(q1, q2, q3)
+	q3 := MustCompileRegex(".*ab", abc) // stack-only: the set runs stacked
+	stacked, err := NewMultiQuery(q1, q2, q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := NewMultiQuery(q1, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 10; i++ {
 		doc := encoding.XMLString(gen.RandomTree(rng, abc, 1+rng.Intn(60)))
-		seqC := NewCollector()
-		seqStats, err := mq.SelectXML(strings.NewReader(doc), Options{Collector: seqC}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := seqC.Events.Load(), int64(3*seqStats.Events); got != want {
-			t.Fatalf("doc %d: sequential multi Events = %d, want %d (events × queries)", i, got, want)
-		}
-		parC := NewCollector()
-		_, err = mq.SelectXML(strings.NewReader(doc), Options{Workers: 4, Collector: parC}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqC.Events.Load() != parC.Events.Load() || seqC.Matches.Load() != parC.Matches.Load() {
-			t.Fatalf("doc %d: multi parity broken: seq events=%d matches=%d, parallel events=%d matches=%d",
-				i, seqC.Events.Load(), seqC.Matches.Load(), parC.Events.Load(), parC.Matches.Load())
-		}
-		if parC.Phases[obs.PhaseMerge].Count.Load() != 1 {
-			t.Fatalf("doc %d: merge phase observed %d times, want 1", i, parC.Phases[obs.PhaseMerge].Count.Load())
+		for _, mq := range []*MultiQuery{stacked, grouped} {
+			seqC := NewCollector()
+			seqStats, err := mq.SelectXML(strings.NewReader(doc), Options{Collector: seqC}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := seqC.Events.Load(), int64(len(mq.queries)*seqStats.Events); got != want {
+				t.Fatalf("doc %d: sequential multi Events = %d, want %d (events × queries)", i, got, want)
+			}
+			parC := NewCollector()
+			_, err = mq.SelectXML(strings.NewReader(doc), Options{Workers: 4, Collector: parC}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seqC.Events.Load() != parC.Events.Load() || seqC.Matches.Load() != parC.Matches.Load() {
+				t.Fatalf("doc %d: multi parity broken: seq events=%d matches=%d, parallel events=%d matches=%d",
+					i, seqC.Events.Load(), seqC.Matches.Load(), parC.Events.Load(), parC.Matches.Load())
+			}
+			merges := int64(1)
+			if mq == stacked {
+				merges = 0
+			}
+			if got := parC.Phases[obs.PhaseMerge].Count.Load(); got != merges {
+				t.Fatalf("doc %d: merge phase observed %d times, want %d", i, got, merges)
+			}
 		}
 	}
 }
@@ -341,6 +352,15 @@ func TestObsMultiQueryScheduleParity(t *testing.T) {
 				t.Fatalf("trial %d workers %d: collector events=%d matches=%d, sequential events=%d matches=%d, %d delivered",
 					trial, workers, c.Events.Load(), c.Matches.Load(), seqC.Events.Load(), seqC.Matches.Load(), len(want))
 			}
+			runs := c.ParallelRuns.Load() + c.SeqFallbacks.Load()
+			if stats.Plan == MultiPlanStacked {
+				// One machine for the whole set, run sequentially.
+				if runs != 0 || stats.Workers != 1 {
+					t.Fatalf("trial %d workers %d: stacked plan on %d workers, parallel=%d seqfallbacks=%d",
+						trial, workers, stats.Workers, c.ParallelRuns.Load(), c.SeqFallbacks.Load())
+				}
+				continue
+			}
 			machines := len(set)
 			if stats.ProductGroups > 0 {
 				grouped := 0
@@ -351,7 +371,6 @@ func TestObsMultiQueryScheduleParity(t *testing.T) {
 				}
 				machines += stats.ProductGroups - grouped
 			}
-			runs := c.ParallelRuns.Load() + c.SeqFallbacks.Load()
 			if chunks := workers / machines; chunks <= 1 && runs != 0 {
 				t.Fatalf("trial %d workers %d: %d machines ran whole, yet parallel=%d seqfallbacks=%d",
 					trial, workers, machines, c.ParallelRuns.Load(), c.SeqFallbacks.Load())

@@ -31,6 +31,7 @@ import (
 	"stackless/internal/classify"
 	"stackless/internal/core"
 	"stackless/internal/dfa"
+	"stackless/internal/obs"
 	"stackless/internal/rex"
 	"stackless/internal/stackeval"
 )
@@ -283,10 +284,10 @@ func (q *Query) build(sem semantics, enc Encoding, forceStack bool) (core.Chunka
 	return stackMachines[sem](q.an.D), Stack
 }
 
-// machine returns a runtime instance of q's machine for sem under enc, per
-// opt's ForceStack and ForbidStack, with opt.Collector attached. The slot's
-// machine is built on the first call; later calls only take a Fork of it.
-func (q *Query) machine(sem semantics, enc Encoding, opt Options) (core.Chunkable, Strategy, error) {
+// slot returns q's slot for sem under enc and opt's ForceStack, building
+// its machine on the first call, or opt's ForbidStack refusal of a
+// Stack-tier slot.
+func (q *Query) slot(sem semantics, enc Encoding, opt Options) (*slot, error) {
 	force := 0
 	if opt.ForceStack {
 		force = 1
@@ -294,14 +295,30 @@ func (q *Query) machine(sem semantics, enc Encoding, opt Options) (core.Chunkabl
 	s := &q.slots[sem][enc][force]
 	s.once.Do(func() { s.ev, s.st = q.build(sem, enc, opt.ForceStack) })
 	if s.st == Stack && opt.ForbidStack && !opt.ForceStack {
-		return nil, Stack, fmt.Errorf(stackRefusals[sem], q.source, enc)
+		return nil, fmt.Errorf(stackRefusals[sem], q.source, enc)
 	}
+	return s, nil
+}
+
+// machine returns a runtime instance of q's machine for sem under enc, per
+// opt's ForceStack and ForbidStack, with opt.Collector attached. The slot's
+// machine is built on the first call; later calls only take a Fork of it.
+func (q *Query) machine(sem semantics, enc Encoding, opt Options) (core.Chunkable, Strategy, error) {
+	s, err := q.slot(sem, enc, opt)
+	if err != nil {
+		return nil, Stack, err
+	}
+	return s.fork(opt.Collector), s.st, nil
+}
+
+// fork returns a runtime instance of the slot's machine with c attached.
+func (s *slot) fork(c *obs.Collector) core.Chunkable {
 	ev := s.ev.Fork()
-	if c := opt.Collector; c != nil {
+	if c != nil {
 		core.Instrument(ev, c)
 		if s.st == Stack {
 			c.StackFallbacks.Inc()
 		}
 	}
-	return ev, s.st, nil
+	return ev
 }

@@ -144,7 +144,9 @@ type Options struct {
 	// product group is one machine for its whole member set, DESIGN.md
 	// §13) and gives each machine max(1, Workers ÷ machines) chunks: a set
 	// with at least as many machines as workers runs every machine whole,
-	// one per worker at a time, which is planned, not a fallback.
+	// one per worker at a time, which is planned, not a fallback. A set
+	// with a stack-tier member runs as one stacked pushdown instead,
+	// sequentially whatever Workers asks (MultiStats.Plan).
 	Workers int
 	// Earliest requests the earliest-emission latency contract (DESIGN.md
 	// §14): every match is reported at the exact event that decides it,

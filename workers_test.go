@@ -104,39 +104,50 @@ func TestMultiQueryWorkersMatchesSequential(t *testing.T) {
 	withProcs(t, 8)
 	q1 := MustCompileRegex("a.*b", abc)
 	q2 := MustCompileRegex(".*a.*b", abc)
-	q3 := MustCompileRegex(".*ab", abc) // stack-only: sequential inside the fan-out
-	mq, err := NewMultiQuery(q1, q2, q3)
+	q3 := MustCompileRegex(".*ab", abc) // stack-only: the set runs stacked
+	stacked, err := NewMultiQuery(q1, q2, q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := NewMultiQuery(q1, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 30; i++ {
 		doc := encoding.XMLString(gen.RandomTree(rng, abc, 1+rng.Intn(60)))
-		var want []MultiMatch
-		seqStats, err := mq.SelectXML(strings.NewReader(doc), Options{}, func(m MultiMatch) { want = append(want, m) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			var got []MultiMatch
-			stats, err := mq.SelectXML(strings.NewReader(doc), Options{Workers: w}, func(m MultiMatch) { got = append(got, m) })
+		for _, mq := range []*MultiQuery{stacked, grouped} {
+			var want []MultiMatch
+			seqStats, err := mq.SelectXML(strings.NewReader(doc), Options{}, func(m MultiMatch) { want = append(want, m) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("doc %d workers %d: %d matches, want %d", i, w, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("doc %d workers %d: match %d = %+v, want %+v (emission order must be preserved)", i, w, j, got[j], want[j])
+			for _, w := range []int{2, 4, 8} {
+				var got []MultiMatch
+				stats, err := mq.SelectXML(strings.NewReader(doc), Options{Workers: w}, func(m MultiMatch) { got = append(got, m) })
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if stats.Events != seqStats.Events || stats.Workers != w {
-				t.Fatalf("doc %d workers %d: stats %+v vs sequential %+v", i, w, stats, seqStats)
-			}
-			for qi := range stats.Matches {
-				if stats.Matches[qi] != seqStats.Matches[qi] {
-					t.Fatalf("doc %d workers %d: per-query matches %v vs %v", i, w, stats.Matches, seqStats.Matches)
+				if len(got) != len(want) {
+					t.Fatalf("doc %d workers %d: %d matches, want %d", i, w, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("doc %d workers %d: match %d = %+v, want %+v (emission order must be preserved)", i, w, j, got[j], want[j])
+					}
+				}
+				// A stacked plan runs sequentially whatever Workers asks.
+				wantPlan, wantWorkers := MultiPlanGrouped, w
+				if mq == stacked {
+					wantPlan, wantWorkers = MultiPlanStacked, 1
+				}
+				if stats.Events != seqStats.Events || stats.Workers != wantWorkers || stats.Plan != wantPlan || seqStats.Plan != wantPlan {
+					t.Fatalf("doc %d workers %d: stats %+v vs sequential %+v", i, w, stats, seqStats)
+				}
+				for qi := range stats.Matches {
+					if stats.Matches[qi] != seqStats.Matches[qi] {
+						t.Fatalf("doc %d workers %d: per-query matches %v vs %v", i, w, stats.Matches, seqStats.Matches)
+					}
 				}
 			}
 		}
