@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"stackless/internal/alphabet"
 	"stackless/internal/core"
 	"stackless/internal/encoding"
 )
@@ -149,21 +148,7 @@ func EquivalenceProduct(name string, p *core.ProductDFA, lim Limits) (*Diagnosti
 		}
 		mevs[i] = mu
 	}
-	alph := p.Alphabet()
-	k := alph.Size()
-	unk := unknownLabel(alph)
-	unkSym := alphabet.Sym(k)
-	blind := p.TermEncoding()
-
-	type move struct {
-		label string
-		sym   alphabet.Sym
-	}
-	var opens []move
-	for s := 0; s < k && s < lim.Alpha; s++ {
-		opens = append(opens, move{label: alph.Symbol(s), sym: alphabet.Sym(s)})
-	}
-	opens = append(opens, move{label: unk, sym: unkSym})
+	u := newUniverse(p.Alphabet(), lim, p.TermEncoding())
 
 	type jointNode struct {
 		prod core.SavedConfig
@@ -236,48 +221,7 @@ func EquivalenceProduct(name string, p *core.ProductDFA, lim Limits) (*Diagnosti
 			continue
 		}
 
-		type edge struct {
-			ev   encoding.Event
-			ce   encoding.CodedEvent
-			tree treeCtx
-		}
-		var edges []edge
-		depth := len(n.tree.stack)
-		canOpen := !n.tree.rootDone && depth < lim.Depth &&
-			(depth == 0 || n.tree.stack[depth-1].children < lim.Width)
-		if canOpen {
-			for _, mv := range opens {
-				st := make([]frame, depth+1)
-				copy(st, n.tree.stack)
-				if depth > 0 {
-					st[depth-1].children++
-				}
-				st[depth] = frame{sym: mv.sym}
-				edges = append(edges, edge{
-					ev:   encoding.Event{Kind: encoding.Open, Label: mv.label},
-					ce:   encoding.CodedEvent{Sym: mv.sym, Kind: encoding.Open},
-					tree: treeCtx{stack: st},
-				})
-			}
-		}
-		if depth > 0 {
-			top := n.tree.stack[depth-1]
-			st := make([]frame, depth-1)
-			copy(st, n.tree.stack[:depth-1])
-			ev := encoding.Event{Kind: encoding.Close}
-			ce := encoding.CodedEvent{Sym: unkSym, Kind: encoding.Close}
-			if !blind {
-				ce.Sym = top.sym
-				if top.sym == unkSym {
-					ev.Label = unk
-				} else {
-					ev.Label = alph.Symbol(int(top.sym))
-				}
-			}
-			edges = append(edges, edge{ev: ev, ce: ce, tree: treeCtx{stack: st, rootDone: depth == 1}})
-		}
-
-		for _, ed := range edges {
+		for _, ed := range u.edges(n.tree) {
 			// Product, string path.
 			pev.RestoreConfig(n.prod)
 			pev.Step(ed.ev)
